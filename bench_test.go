@@ -505,9 +505,8 @@ func BenchmarkStepTelemetryOn(b *testing.B) { benchStepMeter(b, 0.3, true) }
 
 // benchStepLarge is benchStep on a 16x16 mesh (256 routers, ~7x the
 // 6x6 fabric), pinning that per-cycle cost stays proportional to
-// traffic as the flat state arrays grow. shards > 1 partitions the
-// mesh into concurrently stepped router-ID ranges (noc/shard.go).
-func benchStepLarge(b *testing.B, rate float64, mode noc.StepMode, shards int) {
+// traffic as the flat state arrays grow.
+func benchStepLarge(b *testing.B, rate float64) {
 	b.Helper()
 	topo := topology.NewMesh2D(16, 16, core.Pitch2DMM)
 	cfg := noc.Config{
@@ -519,8 +518,7 @@ func benchStepLarge(b *testing.B, rate float64, mode noc.StepMode, shards int) {
 		Layers:     core.Layers,
 		Policy:     noc.AnyFree,
 		Seed:       1,
-		Mode:       mode,
-		Shards:     shards,
+		Mode:       noc.StepActivity,
 	}
 	gen := &traffic.Uniform{Topo: topo, InjectionRate: rate, PacketSize: core.DataPacketFlits}
 	net := noc.NewNetwork(cfg)
@@ -528,24 +526,9 @@ func benchStepLarge(b *testing.B, rate float64, mode noc.StepMode, shards int) {
 }
 
 // BenchmarkStepHighRateLargeMesh is BenchmarkStepHighRate on a 16x16
-// mesh — the giant-fabric regime sharded stepping partitions, so its
-// single-threaded cost is the baseline the shard sweep is read against.
-func BenchmarkStepHighRateLargeMesh(b *testing.B) { benchStepLarge(b, 0.3, noc.StepActivity, 1) }
-
-// BenchmarkStepSharded sweeps shard counts over the high-load 16x16
-// mesh of BenchmarkStepHighRateLargeMesh. Results are bit-identical at
-// every shard count (pinned by noc's TestShardDeterminism); what the
-// sweep measures is wall-clock scaling: on a multicore host the 4-shard
-// case targets >= 2x over 1 shard, while on a single hardware thread
-// the sharded cases only pay the goroutine fan-out tax, bounding the
-// protocol's overhead.
-func BenchmarkStepSharded(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run("shards="+strconv.Itoa(shards), func(b *testing.B) {
-			benchStepLarge(b, 0.3, noc.StepActivity, shards)
-		})
-	}
-}
+// mesh (256 routers) — the largest fabric the suite steps, and the
+// workload scripts/benchguard.sh guards for large-mesh cost.
+func BenchmarkStepHighRateLargeMesh(b *testing.B) { benchStepLarge(b, 0.3) }
 
 // BenchmarkStepChiplet measures per-cycle cost on the chiplet fabric
 // the ext-chiplet sweep runs: a 2x2 grid of 4x4-node chips joined by
@@ -570,7 +553,6 @@ func BenchmarkStepChiplet(b *testing.B) {
 		Policy:     noc.AnyFree,
 		Seed:       1,
 		Mode:       noc.StepActivity,
-		Shards:     1,
 	}
 	gen := &traffic.Uniform{Topo: topo, InjectionRate: 0.1, PacketSize: core.DataPacketFlits}
 	runStepBench(b, noc.NewNetwork(cfg), gen)

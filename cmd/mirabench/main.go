@@ -4,19 +4,17 @@
 //
 // Usage:
 //
-//	mirabench [-quick] [-csv] [-svg DIR] [-seed N] [-workers N] [-shards N] [-stepmode MODE] [-progress] [-timing FILE] [-cpuprofile FILE] [-memprofile FILE] [-obs] [-obswindow N] <experiment>...
+//	mirabench [-quick] [-csv] [-svg DIR] [-seed N] [-workers N] [-stepmode MODE] [-progress] [-timing FILE] [-cpuprofile FILE] [-memprofile FILE] [-obs] [-obswindow N] <experiment>...
 //	mirabench all
 //	mirabench list
 //	mirabench -obs
 //
 // Sweep points fan out across -workers goroutines (default: all CPUs);
-// tables are bit-identical for any worker count. -shards N additionally
-// partitions each simulated mesh into N contiguous router-ID ranges
-// stepped concurrently inside every cycle; tables are bit-identical for
-// any shard count, and the two knobs compose (workers parallelize
-// across sweep points, shards inside each simulation). -progress logs a
-// per-point timing line to stderr; -timing records per-experiment
-// wall-clock times as JSON.
+// tables are bit-identical for any worker count. -shards N is a
+// deprecated no-op kept so existing scripts still run: every simulation
+// steps sequentially, and -workers is the parallelism knob. -progress
+// logs a per-point timing line to stderr; -timing records
+// per-experiment wall-clock times as JSON.
 //
 // -stepmode selects the simulator's cycle-loop strategy (activity,
 // fullscan or checked); all modes produce identical tables, so a stdout
@@ -28,9 +26,8 @@
 // just that report. -obswindow N attaches a collector with an N-cycle
 // sample window to every sweep point of the selected experiments.
 // -enginestats attaches engine self-telemetry to every sweep point and
-// logs per-point engine progress (cycles/sec, shard imbalance) to
-// stderr; like -obswindow it is out-of-band and leaves every table
-// byte-identical.
+// logs per-point engine progress (cycles/sec, ETA) to stderr; like
+// -obswindow it is out-of-band and leaves every table byte-identical.
 //
 // Experiments: table1 table2 table3, fig1 fig2 fig3 fig8 fig9 fig10,
 // fig11a-d, fig12a-d, fig13a-c, plus the ablation-* and ext-* studies
@@ -122,13 +119,13 @@ func main() {
 	svgDir := flag.String("svg", "", "also write an SVG figure per experiment into this directory")
 	seed := flag.Int64("seed", 42, "simulation seed")
 	workers := flag.Int("workers", 0, "sweep-point worker goroutines (0 = all CPUs); results are identical for any value")
-	shards := flag.Int("shards", 0, "concurrent router shards inside each simulation (0 or 1 = sequential, -1 = auto from mesh size and CPUs); results are identical for any value")
+	flag.Int("shards", 0, "deprecated no-op: every simulation steps sequentially; use -workers for parallelism")
 	progress := flag.Bool("progress", false, "log a per-point progress/timing line to stderr")
 	timingFile := flag.String("timing", "", "write per-experiment wall-clock times to this JSON file")
 	stepMode := flag.String("stepmode", "activity", "cycle-loop strategy: activity, fullscan or checked; tables are identical for every mode")
 	obsReport := flag.Bool("obs", false, "measure and report observability probe overhead (runs standalone or before the selected experiments)")
 	obsWindow := flag.Int64("obswindow", 0, "attach a collector with this sample window (cycles) to every sweep point; 0 = unobserved")
-	engineStats := flag.Bool("enginestats", false, "attach engine telemetry to every sweep point and log per-point engine progress (cycles/sec, shard imbalance) to stderr; tables are identical either way")
+	engineStats := flag.Bool("enginestats", false, "attach engine telemetry to every sweep point and log per-point engine progress (cycles/sec, ETA) to stderr; tables are identical either way")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	var logf cli.LogFlags
@@ -158,7 +155,6 @@ func main() {
 	}
 	opts.Seed = *seed
 	opts.Workers = *workers
-	opts.Shards = *shards
 	opts.ObserveWindow = *obsWindow
 	opts.Engine = *engineStats
 	if *engineStats {
@@ -337,7 +333,7 @@ func writeSVG(dir string, tb exp.Table) error {
 func usage() {
 	fmt.Fprintf(os.Stderr, `mirabench regenerates the MIRA paper's tables and figures.
 
-usage: mirabench [-quick] [-seed N] [-workers N] [-shards N] [-stepmode MODE] [-progress] [-timing FILE] [-cpuprofile FILE] [-memprofile FILE] [-obs] [-obswindow N] [-enginestats] <experiment>... | all | list
+usage: mirabench [-quick] [-seed N] [-workers N] [-stepmode MODE] [-progress] [-timing FILE] [-cpuprofile FILE] [-memprofile FILE] [-obs] [-obswindow N] [-enginestats] <experiment>... | all | list
 `)
 	flag.PrintDefaults()
 }

@@ -27,13 +27,12 @@
 // the run. A scenario file may request the same via its "observe" block.
 //
 // -progress renders a live engine-telemetry line on stderr (cycles/sec,
-// ETA, shard imbalance), -enginestats prints the end-of-run engine
-// table (per-shard wall time, pool utilization, runtime stats) on
-// stderr, and -enginejson FILE stores the sampled engine series for
-// offline rendering ("miratrace spans -engine"). All three are host
-// wall-clock introspection of the simulator itself and are strictly
-// out-of-band: simulated results are bit-identical with or without
-// them.
+// ETA), -enginestats prints the end-of-run engine table (step wall
+// time, runtime stats) on stderr, and -enginejson FILE stores the
+// sampled engine series for offline rendering ("miratrace spans
+// -engine"). All three are host wall-clock introspection of the
+// simulator itself and are strictly out-of-band: simulated results are
+// bit-identical with or without them.
 //
 // -serve ADDR runs the batch (or the single flag-described scenario)
 // under a net/http server while it executes: hand-rolled Prometheus text
@@ -93,7 +92,7 @@ func main() {
 	measure := flag.Int64("measure", 20000, "measurement cycles")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	stepMode := flag.String("stepmode", "activity", "cycle-loop strategy: activity, fullscan or checked")
-	shards := flag.Int("shards", 0, "concurrent router shards inside the simulation (0 or 1 = sequential, -1 = auto from mesh size and CPUs); results are identical for any value")
+	flag.Int("shards", 0, "deprecated no-op: the simulation always steps sequentially")
 	chips := flag.String("chips", "", "replace the fabric with a chiplet grid, CXxCY/NXxNY (e.g. 2x2/4x4); append +express for inter-chip express channels")
 	d2d := flag.String("d2d", "", "die-to-die link timing for -chips as lat[:ser] cycles (e.g. 4 or 8:4; default 1:1 = indistinguishable from on-chip wires)")
 	shutdown := flag.Bool("shutdown", true, "apply layer-shutdown power accounting")
@@ -105,8 +104,8 @@ func main() {
 	series := flag.String("series", "", "write the sampled observability time series to this CSV file")
 	attrib := flag.String("attrib", "", "write the span latency-attribution table to this CSV file")
 	obsWindow := flag.Int64("obswindow", 0, "observability sample window in cycles (0 = default 1000; enables observation with -trace/-series/-attrib)")
-	progress := flag.Bool("progress", false, "live engine progress on stderr (cycles/sec, ETA, shard imbalance); enables engine telemetry")
-	engineStats := flag.Bool("enginestats", false, "print the end-of-run engine telemetry table (per-shard wall time, pool utilization) on stderr; enables engine telemetry")
+	progress := flag.Bool("progress", false, "live engine progress on stderr (cycles/sec, ETA); enables engine telemetry")
+	engineStats := flag.Bool("enginestats", false, "print the end-of-run engine telemetry table (step wall time, runtime stats) on stderr; enables engine telemetry")
 	engineJSON := flag.String("enginejson", "", "write the engine telemetry series as JSON to this file (see miratrace spans -engine); enables engine telemetry")
 	dump := flag.Bool("dump", false, "print the scenario JSON for these flags and exit without running")
 	scenarioFile := flag.String("scenario", "", "run a JSON scenario (or array of scenarios) from this file ('-' for stdin) and print JSON results")
@@ -152,7 +151,6 @@ func main() {
 			Drain:       2 * *measure,
 			Seed:        *seed,
 			StepMode:    *stepMode,
-			Shards:      *shards,
 			QoSPriority: *qos,
 			SpecSA:      *spec,
 			LookaheadRC: *lookahead,

@@ -36,11 +36,11 @@
 // chrome://tracing; each router is a process track and concurrent flit
 // visits occupy separate lanes. -engine FILE additionally renders an
 // engine telemetry series (mirasim -enginejson) as counter tracks —
-// per-shard busy time per cycle, cycles/sec, shard imbalance — on a
-// dedicated process in the same export, timestamped by simulated cycle
-// so host-side shard cost lines up under the flit activity that caused
-// it. -heatmap writes the per-router, per-window congestion matrix
-// (stalled-flit cycles) as CSV, -svg as a rendered heatmap.
+// step time per cycle and cycles/sec — on a dedicated process in the
+// same export, timestamped by simulated cycle so host-side step cost
+// lines up under the flit activity that caused it. -heatmap writes the
+// per-router, per-window congestion matrix (stalled-flit cycles) as
+// CSV, -svg as a rendered heatmap.
 //
 // Diagnostics go to stderr as log/slog structured logs (-loglevel,
 // -logjson after the subcommand); result output stays on stdout.
@@ -338,7 +338,7 @@ func cmdSpans(args []string) error {
 			}
 			doc.AppendEngineTrack(es)
 			slog.Info("engine track appended", "file", *engine,
-				"windows", len(es.Windows), "shards", es.Shards)
+				"windows", len(es.Windows))
 		}
 		if err := writeFileWith(*perfetto, func(f *os.File) error {
 			return obs.WriteTraceDoc(f, doc)

@@ -8,7 +8,7 @@
 // dependency engine driven off packet-delivery callbacks (noc.Sim's
 // OnEject hook), the same closed-loop pattern as internal/cmp's
 // ClosedSystem, but packaged as a plain noc.Generator so it composes
-// with the scenario layer, sharded stepping, and every step mode.
+// with the scenario layer and every step mode.
 //
 // # Overlays and step complexity
 //
@@ -35,12 +35,11 @@
 // at a rank is attributed to the j-th entry of the rank's precomputed
 // receive schedule. This is exact for the shipped overlays — every rank
 // receives from a single ring predecessor (ring kinds) or receives
-// exactly once (broadcast) — and it is what makes the engine
-// deterministic under sharded stepping: ejections are replayed in
-// canonical router order at any shard count (see noc.Sim.OnEject), link
-// latency ≥ 1 means a delivery can never unlock a send in the same
-// cycle it crosses a shard boundary, and the engine itself draws
-// nothing from the RNG.
+// exactly once (broadcast). Together with the single eject contract
+// (deliveries reach OnEject inline, in event-ring order, before the
+// cycle's injection; see noc.Sim.OnEject), sends leaving through
+// Generate on the next cycle, and an engine that draws nothing from the
+// RNG, this keeps every collective deterministic in every step mode.
 //
 // Iterations are separated by a zero-cost barrier: iteration i+1's
 // first sends are issued on the first Generate call after iteration i's

@@ -87,7 +87,7 @@ func (a Agg) Mean() float64 {
 // unlock dependent sends. The Engine draws nothing from the RNG, issues
 // at most one message per rank per cycle in program order, and keeps
 // all its mutable state on the simulation goroutine — which is what
-// keeps its tables bit-identical at any shard count and step mode.
+// keeps its tables bit-identical in every step mode.
 type Engine struct {
 	p     Params
 	ranks []topology.NodeID // rank -> node

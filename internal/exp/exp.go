@@ -39,12 +39,6 @@ type Options struct {
 	// modes; fullscan/checked exist for determinism diffs and
 	// debugging (mirabench -stepmode).
 	StepMode noc.StepMode
-	// Shards partitions each simulated mesh into contiguous router-ID
-	// ranges stepped concurrently inside every cycle (noc.Config.Shards;
-	// mirabench/mirasim -shards). Results are bit-identical at any
-	// value. Composes with Workers: Workers parallelizes across sweep
-	// points, Shards parallelizes inside each simulation.
-	Shards int
 	// ObserveWindow, when positive, adds an Observe block with this
 	// sample window (cycles) to every scenario the options produce, so
 	// each sweep point runs with an observability collector attached
@@ -52,9 +46,9 @@ type Options struct {
 	// identical either way, observation only adds visibility.
 	ObserveWindow int64
 	// Engine attaches engine self-telemetry (obs.EngineCollector) to
-	// every scenario the options produce: per-shard wall-time, pool
-	// utilization, cycles/sec with ETA (mirabench -enginestats). Like
-	// ObserveWindow, strictly out-of-band — results are bit-identical.
+	// every scenario the options produce: step wall-time, cycles/sec
+	// with ETA (mirabench -enginestats). Like ObserveWindow, strictly
+	// out-of-band — results are bit-identical.
 	Engine bool
 }
 
@@ -82,7 +76,6 @@ func (o Options) Scenario(a core.Arch) scenario.Scenario {
 		Drain:    o.Drain,
 		Seed:     o.Seed,
 		StepMode: o.StepMode.String(),
-		Shards:   o.Shards,
 	}
 	if o.ObserveWindow > 0 {
 		sc.Observe = &scenario.Observe{Window: o.ObserveWindow}

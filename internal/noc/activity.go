@@ -14,12 +14,10 @@ import "math/bits"
 //     non-idle state (listRC/listVA/listSA, with listPos for O(1)
 //     swap-removal), so the stage functions visit only VCs that can
 //     possibly act, and
-//   - per-shard bitsets of the routers owning a non-empty list per
+//   - network-level bitsets of the routers owning a non-empty list per
 //     stage (actRC/actVA/actSA) plus the NIs with queued or in-flight
 //     packets (actNI), so the cycle loop visits only routers and NIs
-//     with pending work. The sets live on the shard stepping the router
-//     (shard.go; one shard owns everything under sequential stepping),
-//     so concurrent shards never touch a shared bitset word.
+//     with pending work.
 //
 // Determinism is part of the contract: the activity-driven path must be
 // bit-identical to the full scan (Config.Mode = StepFullScan) for any
@@ -115,36 +113,36 @@ func (r *Router) listRemove(list []int32, f int32) []int32 {
 // the router goes through here; vcState[f] is never written directly.
 func (r *Router) setVCState(f int32, s vcState) {
 	id := int(r.id)
-	sh := r.sh
+	n := r.net
 	switch r.vcState[f] {
 	case vcRouting:
 		r.listRC = r.listRemove(r.listRC, f)
 		if len(r.listRC) == 0 {
-			sh.actRC.remove(id)
+			n.actRC.remove(id)
 		}
 	case vcWaitVC:
 		r.listVA = r.listRemove(r.listVA, f)
 		r.waitersByOut[r.outIndex[r.vcOutDir[f]]]--
 		if len(r.listVA) == 0 {
-			sh.actVA.remove(id)
+			n.actVA.remove(id)
 		}
 	case vcActive:
 		r.listSA = r.listRemove(r.listSA, f)
 		if len(r.listSA) == 0 {
-			sh.actSA.remove(id)
+			n.actSA.remove(id)
 		}
 	}
 	r.vcState[f] = s
 	switch s {
 	case vcRouting:
 		r.listRC = r.listAdd(r.listRC, f)
-		sh.actRC.add(id)
+		n.actRC.add(id)
 	case vcWaitVC:
 		r.listVA = r.listAdd(r.listVA, f)
 		r.waitersByOut[r.outIndex[r.vcOutDir[f]]]++
-		sh.actVA.add(id)
+		n.actVA.add(id)
 	case vcActive:
 		r.listSA = r.listAdd(r.listSA, f)
-		sh.actSA.add(id)
+		n.actSA.add(id)
 	}
 }

@@ -250,8 +250,7 @@ func TestIdleNetworkStaysCheap(t *testing.T) {
 	if !net.Idle() {
 		t.Fatal("packet did not drain")
 	}
-	sh := &net.shards[0]
-	for _, s := range []*routerSet{&sh.actRC, &sh.actVA, &sh.actSA, &sh.actNI} {
+	for _, s := range []*routerSet{&net.actRC, &net.actVA, &net.actSA, &net.actNI} {
 		if s.n != 0 {
 			t.Fatalf("idle network has %d active entries", s.n)
 		}

@@ -1,7 +1,6 @@
 package noc
 
 import (
-	"runtime"
 	"testing"
 
 	"mira/internal/routing"
@@ -136,59 +135,26 @@ func TestChipletSerialization(t *testing.T) {
 
 // TestChipletDeterminismSuite runs the 2x2 chip-grid fabric (multi-cycle
 // serializing d2d channels plus express links) across every step mode
-// and a sweep of shard counts — including counts that misalign with the
-// chip boundaries — and requires bit-identical results everywhere, full
-// delivery (reachability/no-deadlock), and survival of checked mode's
-// per-cycle invariants. Run under -race in CI, this is also the
-// concurrency-safety proof for latency-stamped cross-shard events.
+// and requires bit-identical results everywhere, full delivery
+// (reachability/no-deadlock), and survival of checked mode's per-cycle
+// invariants.
 func TestChipletDeterminismSuite(t *testing.T) {
-	run := func(mode StepMode, shards int) Result {
+	run := func(mode StepMode) Result {
 		cfg := cfgChiplet(4, 2, true)
 		cfg.Seed = 7
 		cfg.Mode = mode
-		cfg.Shards = shards
 		return shortSim(cfg, bernoulli(cfg.Topo, 0.1, 4, Data))
 	}
-	ref := run(StepActivity, 1)
+	ref := run(StepActivity)
 	if ref.Generated == 0 || ref.Ejected != ref.Generated {
 		t.Fatalf("reference run did not deliver all traffic: %v", ref.String())
 	}
-	for _, mode := range []StepMode{StepActivity, StepFullScan, StepChecked} {
-		// 3, 5 and 7 shards split mid-chip; correctness must not depend
-		// on shard boundaries aligning with chip boundaries.
-		for _, shards := range []int{1, 2, 3, 4, 5, 7, AutoShards} {
-			got := run(mode, shards)
-			if got.AvgLatency != ref.AvgLatency || got.AvgHops != ref.AvgHops ||
-				got.Generated != ref.Generated || got.Ejected != ref.Ejected ||
-				got.Counters != ref.Counters {
-				t.Fatalf("mode=%v shards=%d diverges:\n  got %v\n  ref %v", mode, shards, got.String(), ref.String())
-			}
-		}
-	}
-}
-
-// TestAutoShardsHeuristic pins the -shards=-1 resolution rule: one
-// shard per autoShardRouters routers, capped by GOMAXPROCS, tiny meshes
-// sequential.
-func TestAutoShardsHeuristic(t *testing.T) {
-	p := runtime.GOMAXPROCS(0)
-	min := func(a, b int) int {
-		if a < b {
-			return a
-		}
-		return b
-	}
-	cases := []struct{ routers, want int }{
-		{1, 1},
-		{63, 1},
-		{64, 1},
-		{128, min(2, p)},
-		{1024, min(16, p)},
-		{1 << 20, p},
-	}
-	for _, c := range cases {
-		if got := autoShards(c.routers); got != c.want {
-			t.Errorf("autoShards(%d) = %d, want %d (GOMAXPROCS %d)", c.routers, got, c.want, p)
+	for _, mode := range []StepMode{StepFullScan, StepChecked} {
+		got := run(mode)
+		if got.AvgLatency != ref.AvgLatency || got.AvgHops != ref.AvgHops ||
+			got.Generated != ref.Generated || got.Ejected != ref.Ejected ||
+			got.Counters != ref.Counters {
+			t.Fatalf("mode=%v diverges:\n  got %v\n  ref %v", mode, got.String(), ref.String())
 		}
 	}
 }

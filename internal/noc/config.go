@@ -2,7 +2,6 @@ package noc
 
 import (
 	"fmt"
-	"runtime"
 
 	"mira/internal/routing"
 	"mira/internal/topology"
@@ -128,42 +127,6 @@ type Config struct {
 	// Mode selects the stepping strategy (activity-driven by default);
 	// results are identical across modes, only host cost differs.
 	Mode StepMode
-
-	// Shards partitions the routers into contiguous ID ranges stepped
-	// concurrently inside each cycle (shard.go). 0 or 1 steps
-	// sequentially; AutoShards (-1) picks a count from the mesh size
-	// and GOMAXPROCS (see autoShards); the count is clamped to the
-	// router count. Results are bit-identical for any value — shards
-	// trade memory and per-cycle synchronization for multicore scaling
-	// on large meshes.
-	Shards int
-}
-
-// AutoShards, assigned to Config.Shards (or -shards=-1), derives the
-// shard count from the mesh size and GOMAXPROCS at construction time.
-const AutoShards = -1
-
-// autoShardRouters is the per-shard router budget of the auto heuristic:
-// one shard per this many routers. Below it the per-cycle barrier and
-// mailbox overhead outweighs the parallelism (the 16x16 sharded-step
-// benchmark puts the knee near 64-128 routers/shard), so meshes of at
-// most autoShardRouters routers step sequentially.
-const autoShardRouters = 64
-
-// autoShards picks the shard count for num routers: enough shards to
-// give each ~autoShardRouters routers, but never more than GOMAXPROCS
-// (extra shards beyond the runnable cores only add barrier cost) and
-// never more than one per router. Tiny meshes — at most one budget's
-// worth of routers — stay sequential.
-func autoShards(num int) int {
-	s := num / autoShardRouters
-	if p := runtime.GOMAXPROCS(0); s > p {
-		s = p
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
 }
 
 // ArbPolicy selects the arbiter used in the VA and SA allocators.
@@ -229,9 +192,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Mode > StepChecked {
 		return fmt.Errorf("noc: unknown step mode %d", c.Mode)
-	}
-	if c.Shards < AutoShards {
-		return fmt.Errorf("noc: Shards = %d, need >= -1 (-1 = auto)", c.Shards)
 	}
 	return nil
 }

@@ -5,91 +5,52 @@ import (
 	"time"
 )
 
-// EngineMeter instruments the simulator engine itself — where host
-// wall-clock time goes inside a cycle, how evenly the shards are
-// loaded, and how much traffic crosses shard boundaries. It is strictly
-// out-of-band: the meter only reads clocks and counts work that already
-// happened, never feeds anything back into simulation state, so
-// results are bit-identical with a meter attached or not (pinned by
-// TestEngineMeterPurity and the obs-level determinism suite). Detached
-// (the default), every instrumented site pays one nil-check branch and
+// EngineMeter instruments the simulator engine itself: how many cycles
+// it has stepped and how much host wall-clock time those steps took. It
+// is strictly out-of-band: the meter only reads clocks and counts work
+// that already happened, never feeds anything back into simulation
+// state, so results are bit-identical with a meter attached or not
+// (pinned by TestEngineMeterPurity and the obs-level determinism
+// suite). Detached (the default), Step pays one nil-check branch and
 // nothing else — the same contract the probe hook keeps.
 //
-// All totals are atomics because external goroutines (the obs engine
-// ticker, HTTP handlers) read them while the step loop writes. The
-// per-cycle scratch timestamps live in shardState instead: they are
-// written by a shard's worker and read by the serial epilogue after the
-// WaitGroup barrier, so they need no synchronization of their own.
+// The totals are atomics because external goroutines (the obs engine
+// ticker, HTTP handlers) read them while the step loop writes.
 type EngineMeter struct {
-	shards  []meterShard
-	routers []int32 // routers per shard, fixed at attach
-	// cross is the S x S boundary-crossing counter matrix
-	// (cross[src*S+dst]), counting flits and credits drained from the
-	// mailbox mail[src][dst]; nil when S == 1 (nothing ever crosses).
-	// Each cell is written only by the destination shard's worker (at
-	// its drain) but read by external samplers, hence atomics.
-	cross  []crossCell
-	cycles atomic.Int64
-	stepNs atomic.Int64 // wall time inside Network.Step, all cycles
-}
-
-// meterShard is one shard's wall-time totals, padded so concurrently
-// updated shards never share a cache line.
-type meterShard struct {
-	busyNs    atomic.Int64 // inside shardCycle (drain + inject + stages)
-	drainNs   atomic.Int64 // the delivery/drain prefix of busyNs
-	barrierNs atomic.Int64 // from this shard's finish to the cycle barrier
-	cycles    atomic.Int64
-	_         [32]byte
-}
-
-type crossCell struct {
-	flits   atomic.Int64
-	credits atomic.Int64
+	routers int
+	cycles  atomic.Int64
+	stepNs  atomic.Int64 // wall time inside Network.Step, all cycles
 }
 
 // EnableEngineMeter attaches an engine meter to the network and returns
 // it; if one is already attached it is returned unchanged. Must not be
 // called concurrently with Step — attach before the run starts.
 func (n *Network) EnableEngineMeter() *EngineMeter {
-	if n.meter != nil {
-		return n.meter
+	if n.meter == nil {
+		n.meter = &EngineMeter{routers: len(n.routers)}
 	}
-	S := len(n.shards)
-	m := &EngineMeter{
-		shards:  make([]meterShard, S),
-		routers: make([]int32, S),
-	}
-	for i := range n.shards {
-		m.routers[i] = n.shards[i].hi - n.shards[i].lo
-	}
-	if S > 1 {
-		m.cross = make([]crossCell, S*S)
-	}
-	n.meter = m
-	return m
+	return n.meter
 }
 
 // Meter returns the attached engine meter, or nil when detached.
 func (n *Network) Meter() *EngineMeter { return n.meter }
 
-// EngineShardStat is one shard's slice of an EngineSnapshot.
+// EngineShardStat is the whole-network stepping lane of an
+// EngineSnapshot. The network steps as one lane, so BusyNs equals the
+// snapshot's StepNs; DrainNs and BarrierNs are always zero and remain
+// only so existing consumers of the snapshot keep compiling.
 type EngineShardStat struct {
-	Shard     int   `json:"shard"`
 	Routers   int   `json:"routers"`
 	BusyNs    int64 `json:"busy_ns"`
-	DrainNs   int64 `json:"drain_ns"`
-	BarrierNs int64 `json:"barrier_ns"`
+	DrainNs   int64 `json:"drain_ns,omitempty"`
+	BarrierNs int64 `json:"barrier_ns,omitempty"`
 	Cycles    int64 `json:"cycles"`
 }
 
-// EngineMailboxStat is the cumulative boundary-mailbox traffic drained
-// by shard Dst from shard Src.
+// EngineMailboxStat is the element type of EngineSnapshot.Mailbox,
+// which is always empty: nothing crosses a lane boundary.
 type EngineMailboxStat struct {
-	Src     int   `json:"src"`
-	Dst     int   `json:"dst"`
-	Flits   int64 `json:"flits"`
-	Credits int64 `json:"credits"`
+	Flits int64 `json:"flits"`
 }
 
 // EngineSnapshot is a consistent-enough point-in-time copy of the
@@ -97,96 +58,30 @@ type EngineMailboxStat struct {
 // not taken under a global lock (the step loop keeps running), which is
 // fine for monitoring — totals are monotone.
 type EngineSnapshot struct {
-	Cycles int64             `json:"cycles"`
-	StepNs int64             `json:"step_ns"`
+	Cycles int64 `json:"cycles"`
+	StepNs int64 `json:"step_ns"`
+	// Shards holds exactly one entry covering the whole network.
 	Shards []EngineShardStat `json:"shards"`
-	// Mailbox lists the non-zero (src,dst) crossing counters in
-	// ascending (src,dst) order.
+	// Mailbox is always empty.
 	Mailbox []EngineMailboxStat `json:"mailbox,omitempty"`
 }
 
 // Snapshot copies the meter's current totals.
 func (m *EngineMeter) Snapshot() EngineSnapshot {
-	s := EngineSnapshot{
-		Cycles: m.cycles.Load(),
-		StepNs: m.stepNs.Load(),
-		Shards: make([]EngineShardStat, len(m.shards)),
+	cycles, step := m.cycles.Load(), m.stepNs.Load()
+	return EngineSnapshot{
+		Cycles: cycles,
+		StepNs: step,
+		Shards: []EngineShardStat{{Routers: m.routers, BusyNs: step, Cycles: cycles}},
 	}
-	for i := range m.shards {
-		ms := &m.shards[i]
-		s.Shards[i] = EngineShardStat{
-			Shard:     i,
-			Routers:   int(m.routers[i]),
-			BusyNs:    ms.busyNs.Load(),
-			DrainNs:   ms.drainNs.Load(),
-			BarrierNs: ms.barrierNs.Load(),
-			Cycles:    ms.cycles.Load(),
-		}
-	}
-	S := len(m.shards)
-	for src := 0; src < S; src++ {
-		for dst := 0; dst < S; dst++ {
-			if src == dst || m.cross == nil {
-				continue
-			}
-			c := &m.cross[src*S+dst]
-			f, cr := c.flits.Load(), c.credits.Load()
-			if f == 0 && cr == 0 {
-				continue
-			}
-			s.Mailbox = append(s.Mailbox, EngineMailboxStat{Src: src, Dst: dst, Flits: f, Credits: cr})
-		}
-	}
-	return s
 }
 
-// ImbalanceRatio is the max/mean ratio of per-shard busy time: 1.0 for
-// perfectly balanced shards, 2.0 when the hottest shard works twice the
-// average. Returns 1 for a single shard or an empty snapshot.
-func (s *EngineSnapshot) ImbalanceRatio() float64 {
-	if len(s.Shards) <= 1 {
-		return 1
-	}
-	var sum, max int64
-	for i := range s.Shards {
-		b := s.Shards[i].BusyNs
-		sum += b
-		if b > max {
-			max = b
-		}
-	}
-	if sum == 0 {
-		return 1
-	}
-	mean := float64(sum) / float64(len(s.Shards))
-	return float64(max) / mean
-}
-
-// Utilization is the fraction of the worker pool's capacity spent doing
-// shard work: sum of per-shard busy time over shards x wall time inside
-// Step. Sequential stepping reports ~1 by construction; a sharded run
-// below 1 is losing time to barrier skew or the serial epilogue.
-func (s *EngineSnapshot) Utilization() float64 {
-	if s.StepNs == 0 {
-		return 0
-	}
-	var sum int64
-	for i := range s.Shards {
-		sum += s.Shards[i].BusyNs
-	}
-	return float64(sum) / (float64(len(s.Shards)) * float64(s.StepNs))
-}
-
-// stepSeqMetered wraps the sequential step with whole-cycle timing,
-// attributed to shard 0 (the only shard). Drain and barrier phases are
-// not separately timed on this path — keeping stepSeq itself untouched
-// is what keeps the detached hot path at zero cost.
+// stepSeqMetered wraps the cycle body with whole-cycle timing. Keeping
+// stepSeq itself untouched is what keeps the detached hot path at zero
+// cost.
 func (n *Network) stepSeqMetered(m *EngineMeter) {
 	t0 := time.Now()
 	n.stepSeq()
-	d := time.Since(t0).Nanoseconds()
-	m.shards[0].busyNs.Add(d)
-	m.shards[0].cycles.Add(1)
-	m.stepNs.Add(d)
+	m.stepNs.Add(time.Since(t0).Nanoseconds())
 	m.cycles.Add(1)
 }

@@ -30,107 +30,53 @@ func runMetered(t *testing.T, cfg Config, mode StepMode, rate float64, cycles in
 	for i := int64(0); i < 20000 && !net.Idle(); i++ {
 		net.Step()
 	}
-	net.ReleaseWorkers()
 	return stream, net.TotalCounters(), m.Snapshot()
 }
 
 // TestEngineMeterPurity pins the out-of-band contract: a run with an
 // engine meter attached must produce the exact ejection stream and
-// counters of the unmetered run, at every shard count and step mode.
-// The meter only reads clocks; nothing it does may steer simulation.
+// counters of the unmetered run, in every step mode. The meter only
+// reads clocks; nothing it does may steer simulation.
 func TestEngineMeterPurity(t *testing.T) {
 	for _, mode := range []StepMode{StepActivity, StepFullScan} {
-		for _, shards := range []int{1, 2, 4} {
-			cfg := cfg2D(2)
-			cfg.Seed = 42
-			cfg.Shards = shards
-			ref, refCnt, _ := runModal(t, cfg, mode, 0.2, 4, 800)
-			got, gotCnt, _ := runMetered(t, cfg, mode, 0.2, 800)
-			if len(ref) == 0 {
-				t.Fatal("no traffic delivered; test is vacuous")
+		cfg := cfg2D(2)
+		cfg.Seed = 42
+		ref, refCnt, _ := runModal(t, cfg, mode, 0.2, 4, 800)
+		got, gotCnt, _ := runMetered(t, cfg, mode, 0.2, 800)
+		if len(ref) == 0 {
+			t.Fatal("no traffic delivered; test is vacuous")
+		}
+		if len(got) != len(ref) {
+			t.Fatalf("mode=%v: metered ejection stream diverges: %d vs %d packets", mode, len(got), len(ref))
+		}
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Fatalf("mode=%v: ejection %d diverges: metered %+v, bare %+v", mode, i, got[i], ref[i])
 			}
-			if len(got) != len(ref) {
-				t.Fatalf("mode=%v shards=%d: metered ejection stream diverges: %d vs %d packets", mode, shards, len(got), len(ref))
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("mode=%v shards=%d: ejection %d diverges: metered %+v, bare %+v", mode, shards, i, got[i], ref[i])
-				}
-			}
-			if gotCnt != refCnt {
-				t.Fatalf("mode=%v shards=%d: counters diverge:\nmetered %+v\nbare    %+v", mode, shards, gotCnt, refCnt)
-			}
+		}
+		if gotCnt != refCnt {
+			t.Fatalf("mode=%v: counters diverge:\nmetered %+v\nbare    %+v", mode, gotCnt, refCnt)
 		}
 	}
 }
 
-// TestEngineMeterSharded checks the sharded accounting: every shard
-// logs busy time and one meter cycle per step, the drain phase is a
-// prefix of (and so never exceeds) the busy time, boundary crossings
-// are recorded for a mesh cut into shards, and the derived ratios are
-// in range.
-func TestEngineMeterSharded(t *testing.T) {
-	cfg := cfg2D(2)
-	cfg.Seed = 7
-	cfg.Shards = 4
-	_, _, snap := runMetered(t, cfg, StepActivity, 0.2, 800)
-	if snap.Cycles == 0 || snap.StepNs <= 0 {
-		t.Fatalf("no metered cycles: %+v", snap)
-	}
-	if len(snap.Shards) != 4 {
-		t.Fatalf("want 4 shard stats, got %d", len(snap.Shards))
-	}
-	for _, s := range snap.Shards {
-		if s.Cycles != snap.Cycles {
-			t.Fatalf("shard %d cycles %d != total %d", s.Shard, s.Cycles, snap.Cycles)
-		}
-		if s.BusyNs <= 0 {
-			t.Fatalf("shard %d logged no busy time", s.Shard)
-		}
-		if s.DrainNs < 0 || s.DrainNs > s.BusyNs {
-			t.Fatalf("shard %d drain %dns outside busy %dns", s.Shard, s.DrainNs, s.BusyNs)
-		}
-		if s.Routers <= 0 {
-			t.Fatalf("shard %d reports %d routers", s.Shard, s.Routers)
-		}
-	}
-	if len(snap.Mailbox) == 0 {
-		t.Fatal("no boundary-mailbox crossings recorded for a sharded mesh under load")
-	}
-	var flits int64
-	for _, mb := range snap.Mailbox {
-		if mb.Src == mb.Dst {
-			t.Fatalf("self-crossing recorded: %+v", mb)
-		}
-		flits += mb.Flits
-	}
-	if flits == 0 {
-		t.Fatal("crossing counters recorded no flits")
-	}
-	if r := snap.ImbalanceRatio(); r < 1 {
-		t.Fatalf("imbalance ratio %v < 1", r)
-	}
-	if u := snap.Utilization(); u <= 0 || u > 1.5 {
-		t.Fatalf("utilization %v out of range", u)
-	}
-}
-
-// TestEngineMeterSequential checks the single-shard path: whole-cycle
-// time lands on shard 0 and nothing ever crosses a boundary.
+// TestEngineMeterSequential checks the snapshot shape: one
+// whole-network lane carrying all the step time, and no crossings.
 func TestEngineMeterSequential(t *testing.T) {
 	cfg := cfg2D(2)
 	cfg.Seed = 7
 	_, _, snap := runMetered(t, cfg, StepActivity, 0.2, 400)
-	if len(snap.Shards) != 1 {
-		t.Fatalf("want 1 shard stat, got %d", len(snap.Shards))
+	if snap.Cycles == 0 || snap.StepNs <= 0 {
+		t.Fatalf("no metered cycles: %+v", snap)
 	}
-	if snap.Shards[0].BusyNs <= 0 || snap.Shards[0].Cycles != snap.Cycles {
-		t.Fatalf("sequential accounting off: %+v", snap)
+	if len(snap.Shards) != 1 {
+		t.Fatalf("want 1 lane stat, got %d", len(snap.Shards))
+	}
+	lane := snap.Shards[0]
+	if lane.BusyNs != snap.StepNs || lane.Cycles != snap.Cycles || lane.Routers != cfg.Topo.NumNodes() {
+		t.Fatalf("lane accounting off: %+v", snap)
 	}
 	if len(snap.Mailbox) != 0 {
-		t.Fatalf("sequential run recorded crossings: %+v", snap.Mailbox)
-	}
-	if r := snap.ImbalanceRatio(); r != 1 {
-		t.Fatalf("single-shard imbalance ratio %v != 1", r)
+		t.Fatalf("run recorded crossings: %+v", snap.Mailbox)
 	}
 }

@@ -27,17 +27,11 @@ import (
 //     for the O(1) backlog the simulator's drain loop relies on.
 //  6. The activity-tracking state the cycle loop skips idle work by
 //     (per-router pending lists, list position index, per-output waiter
-//     counts, and the per-shard active-router and active-NI sets)
-//     agrees with a fresh full scan of the VC states and NI queues.
+//     counts, and the active-router and active-NI sets) agrees with a
+//     fresh full scan of the VC states and NI queues.
 //
-// In-flight traffic is scanned across every shard's own rings (both
-// send-phase segments) and every boundary mailbox. Ring arrivals were
-// direct-written into their destination slots at send time and are
-// counted against vcInFly; mailbox arrivals carry their flit with them
-// and are counted separately (a channel fed from another shard must
-// have vcInFly == 0, which the per-VC check enforces since ring
-// arrivals for it can't exist). Both kinds occupy downstream credit,
-// so the conservation check sums them.
+// In-flight arrivals were direct-written into their destination slots
+// at send time, so each is counted against vcInFly.
 func (n *Network) CheckInvariants() error {
 	type chanKey struct {
 		router topology.NodeID
@@ -47,8 +41,7 @@ func (n *Network) CheckInvariants() error {
 	// Flits and credits currently in flight. Flits key by downstream
 	// channel; credits travel as flat credit-array indices, so they key
 	// by the global slot the delivery loop will increment.
-	inFlight := make(map[chanKey]int)   // ring arrivals (direct-written)
-	mailFlight := make(map[chanKey]int) // mailbox arrivals (flit-carrying)
+	inFlight := make(map[chanKey]int)
 	credRet := make(map[int32]int)
 	ejecting := 0
 	keyOf := func(gi int32) (chanKey, error) {
@@ -59,54 +52,25 @@ func (n *Network) CheckInvariants() error {
 		fi := int(gi - r.vcBase)
 		return chanKey{r.id, r.inPorts[r.portOf[fi]].dir, int(r.vcOf[fi])}, nil
 	}
-	for si := range n.shards {
-		sh := &n.shards[si]
-		for p := 0; p < 2; p++ {
-			for _, slot := range sh.ev[p] {
-				for _, ev := range slot {
-					if ev < 0 {
-						ejecting++
-						continue
-					}
-					k, err := keyOf(ev)
-					if err != nil {
-						return err
-					}
-					inFlight[k]++
-				}
+	for _, slot := range n.ev {
+		for _, ev := range slot {
+			if ev < 0 {
+				ejecting++
+				continue
 			}
-		}
-		for _, slot := range sh.cred {
-			for _, ci := range slot {
-				if ci < 0 || int(ci) >= len(n.soa.credits) {
-					return fmt.Errorf("noc: in-flight credit slot %d out of range", ci)
-				}
-				credRet[ci]++
+			k, err := keyOf(ev)
+			if err != nil {
+				return err
 			}
+			inFlight[k]++
 		}
 	}
-	for src := range n.mail {
-		for dst := range n.mail[src] {
-			m := &n.mail[src][dst]
-			for p := 0; p < 2; p++ {
-				for _, slot := range m.ev[p] {
-					for i := range slot {
-						k, err := keyOf(slot[i].gi)
-						if err != nil {
-							return err
-						}
-						mailFlight[k]++
-					}
-				}
+	for _, slot := range n.cred {
+		for _, ci := range slot {
+			if ci < 0 || int(ci) >= len(n.soa.credits) {
+				return fmt.Errorf("noc: in-flight credit slot %d out of range", ci)
 			}
-			for _, slot := range m.cred {
-				for _, ci := range slot {
-					if ci < 0 || int(ci) >= len(n.soa.credits) {
-						return fmt.Errorf("noc: in-flight credit slot %d out of range", ci)
-					}
-					credRet[ci]++
-				}
-			}
+			credRet[ci]++
 		}
 	}
 
@@ -133,17 +97,16 @@ func (n *Network) CheckInvariants() error {
 						r.id, dir, vi, r.vcFrontAt[f], want)
 				}
 			}
-			// Each ring-borne in-flight flit occupies a pre-written ring
-			// slot (vcReserveGlobal) and has exactly one pending arrival
-			// event; mailbox-borne flits carry their body and leave
-			// vcInFly untouched.
+			// Each in-flight flit occupies a pre-written ring slot
+			// (vcReserveGlobal) and has exactly one pending arrival
+			// event.
 			if got := inFlight[chanKey{r.id, dir, vi}]; int(r.vcInFly[f]) != got {
 				return fmt.Errorf("noc: router %d %v vc %d records %d in-flight flits, rings hold %d arrival events",
 					r.id, dir, vi, r.vcInFly[f], got)
 			}
-			if r.vcOcc(f)+int(r.vcInFly[f])+mailFlight[chanKey{r.id, dir, vi}] > n.cfg.BufDepth {
-				return fmt.Errorf("noc: router %d %v vc %d occupancy %d + in-flight %d + mailbox %d exceeds depth %d",
-					r.id, dir, vi, r.vcOcc(f), r.vcInFly[f], mailFlight[chanKey{r.id, dir, vi}], n.cfg.BufDepth)
+			if r.vcOcc(f)+int(r.vcInFly[f]) > n.cfg.BufDepth {
+				return fmt.Errorf("noc: router %d %v vc %d occupancy %d + in-flight %d exceeds depth %d",
+					r.id, dir, vi, r.vcOcc(f), r.vcInFly[f], n.cfg.BufDepth)
 			}
 			switch r.vcState[f] {
 			case vcRouting, vcWaitVC:
@@ -183,18 +146,17 @@ func (n *Network) CheckInvariants() error {
 				key := chanKey{op.link.Dst, op.dir.Opposite(), vi}
 				ci := r.credBase + int32(oi*n.cfg.VCs+vi)
 				occupied := down.vcOcc(down.flatVC(int(dpi), vi))
-				total := int(op.credits[vi]) + occupied + inFlight[key] + mailFlight[key] + credRet[ci]
+				total := int(op.credits[vi]) + occupied + inFlight[key] + credRet[ci]
 				if total != n.cfg.BufDepth {
-					return fmt.Errorf("noc: channel %d-%v->%d vc %d: credits %d + occupied %d + inflight %d + mailbox %d + credret %d != depth %d",
-						r.id, op.dir, op.link.Dst, vi, op.credits[vi], occupied, inFlight[key], mailFlight[key], credRet[ci], n.cfg.BufDepth)
+					return fmt.Errorf("noc: channel %d-%v->%d vc %d: credits %d + occupied %d + inflight %d + credret %d != depth %d",
+						r.id, op.dir, op.link.Dst, vi, op.credits[vi], occupied, inFlight[key], credRet[ci], n.cfg.BufDepth)
 				}
 			}
 		}
 	}
 
 	// Backlog counter conservation (property 5): recompute the scanned
-	// truth the counters replaced and require exact agreement with the
-	// merged per-shard values.
+	// truth the counters replaced and require exact agreement.
 	var scanQueuedFlits, scanQueuedPkts int64
 	for i := range n.nis {
 		s := &n.nis[i]
@@ -218,9 +180,6 @@ func (n *Network) CheckInvariants() error {
 	for _, c := range inFlight {
 		scanInFlight += int64(c)
 	}
-	for _, c := range mailFlight {
-		scanInFlight += int64(c)
-	}
 	scanInFlight += int64(ejecting)
 	if scanInFlight != n.InFlightFlits() {
 		return fmt.Errorf("noc: in-flight counter drifted: %d, scan %d", n.InFlightFlits(), scanInFlight)
@@ -230,9 +189,7 @@ func (n *Network) CheckInvariants() error {
 }
 
 // checkActivity validates property 6: every piece of incrementally
-// maintained activity state matches a fresh full scan. The bitsets live
-// on the shard owning each router, so membership is checked against
-// r.sh and populations per shard.
+// maintained activity state matches a fresh full scan.
 func (n *Network) checkActivity() error {
 	listFor := func(r *Router, s vcState) []int32 {
 		switch s {
@@ -283,26 +240,16 @@ func (n *Network) checkActivity() error {
 					r.id, r.outPorts[oi].dir, r.waitersByOut[oi], w)
 			}
 		}
-		// Shard-level stage sets must mirror list emptiness, and a
-		// router's bits may only live on its own shard's sets.
+		// Stage sets must mirror list emptiness.
 		id := int(r.id)
-		for si := range n.shards {
-			osh := &n.shards[si]
-			if osh == r.sh {
-				continue
-			}
-			if osh.actRC.has(id) || osh.actVA.has(id) || osh.actSA.has(id) || osh.actNI.has(id) {
-				return fmt.Errorf("noc: router %d has activity bits on foreign shard %d", r.id, si)
-			}
-		}
 		for _, c := range []struct {
 			name string
 			set  *routerSet
 			list []int32
 		}{
-			{"RC", &r.sh.actRC, r.listRC},
-			{"VA", &r.sh.actVA, r.listVA},
-			{"SA", &r.sh.actSA, r.listSA},
+			{"RC", &n.actRC, r.listRC},
+			{"VA", &n.actVA, r.listVA},
+			{"SA", &n.actSA, r.listSA},
 		} {
 			if c.set.has(id) != (len(c.list) > 0) {
 				return fmt.Errorf("noc: router %d %s activity bit %v but %d pending VCs",
@@ -310,38 +257,33 @@ func (n *Network) checkActivity() error {
 			}
 		}
 	}
-	// Active-NI sets: exactly the NIs with queued or in-flight packets,
-	// each on its own shard's set.
-	nActive := make([]int, len(n.shards))
+	// Active-NI set: exactly the NIs with queued or in-flight packets.
+	nActive := 0
 	for i := range n.nis {
 		s := &n.nis[i]
-		sh := n.routers[i].sh
 		work := len(s.pending()) > 0 || s.injecting
 		if work {
-			nActive[sh.idx]++
+			nActive++
 		}
-		if sh.actNI.has(i) != work {
+		if n.actNI.has(i) != work {
 			return fmt.Errorf("noc: NI %d activity bit %v with %d queued, injecting %v",
-				i, sh.actNI.has(i), len(s.pending()), s.injecting)
+				i, n.actNI.has(i), len(s.pending()), s.injecting)
 		}
 	}
-	for si := range n.shards {
-		sh := &n.shards[si]
-		for _, c := range []struct {
-			name string
-			set  *routerSet
-		}{{"RC", &sh.actRC}, {"VA", &sh.actVA}, {"SA", &sh.actSA}, {"NI", &sh.actNI}} {
-			count := 0
-			for _, w := range c.set.words {
-				count += bits.OnesCount64(w)
-			}
-			if count != c.set.n {
-				return fmt.Errorf("noc: shard %d %s set population %d, bits say %d", si, c.name, c.set.n, count)
-			}
+	for _, c := range []struct {
+		name string
+		set  *routerSet
+	}{{"RC", &n.actRC}, {"VA", &n.actVA}, {"SA", &n.actSA}, {"NI", &n.actNI}} {
+		count := 0
+		for _, w := range c.set.words {
+			count += bits.OnesCount64(w)
 		}
-		if sh.actNI.n != nActive[si] {
-			return fmt.Errorf("noc: shard %d NI set population %d, scan finds %d", si, sh.actNI.n, nActive[si])
+		if count != c.set.n {
+			return fmt.Errorf("noc: %s set population %d, bits say %d", c.name, c.set.n, count)
 		}
+	}
+	if n.actNI.n != nActive {
+		return fmt.Errorf("noc: NI set population %d, scan finds %d", n.actNI.n, nActive)
 	}
 	return nil
 }

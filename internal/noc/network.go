@@ -17,12 +17,6 @@ import (
 // probe events, so they need neither ordering against deliveries nor a
 // payload. The forward path appends one word per flit per hop, so its
 // size is hot.
-//
-// The rings live per shard (shard.go): each shard schedules and
-// delivers its own traffic, and the per-(source, destination) boundary
-// mailboxes carry the cross-shard remainder. With Shards <= 1 the
-// single shard's rings are the network's rings and nothing crosses a
-// boundary.
 type event = int32
 
 // ejEntry is the payload of one ejection event: the flit handed to the
@@ -79,27 +73,27 @@ type Network struct {
 	nis     []ni
 	cycle   int64
 
-	// shards partitions the routers/NIs into contiguous ID ranges that
-	// step concurrently (shard.go); each shard owns the event/credit/
-	// ejection rings and activity sets for its range. hot holds the
-	// cache-line-padded per-shard backlog counters the accessors below
-	// merge on read. mail is the S x S boundary-mailbox matrix
-	// (mail[src][dst]), allocated only when S > 1.
-	shards []shardState
-	hot    []shardHot
-	mail   [][]shardMail
-	// pool is the persistent shard worker pool (nil until the first
-	// sharded step starts it lazily; see pool.go).
-	pool *shardPool
-	// probeScratch is the reusable epilogue buffer the sharded step
-	// merges per-shard probe events into (drainShardOutputs).
-	probeScratch []keyedProbeEvent
-
-	// ringLen is the event-ring length (a power of two >= minRingLen
-	// sized from the topology's slowest link) and ringMask its slot
-	// mask; every shard ring and boundary mailbox is allocated to it.
+	// ev/ejRing/cred are the scheduling rings: arrival and ejection
+	// event words, the ejection payloads they index, and credit
+	// returns, one slice per ring slot. ringLen is their length (a
+	// power of two >= minRingLen sized from the topology's slowest
+	// link) and ringMask the slot mask.
+	ev       [][]event
+	ejRing   [][]ejEntry
+	cred     [][]int32
 	ringLen  int64
 	ringMask int64
+
+	// Per-stage activity sets over routers and NIs (activity.go) and
+	// the scratch slice each stage snapshots its set into.
+	actRC, actVA, actSA, actNI routerSet
+	actScratch                 []int32
+
+	// Incrementally maintained backlog counters: flits buffered in
+	// routers or on links, and flits/packets still in NI queues.
+	inFlightFlits int64
+	queuedFlits   int64
+	queuedPackets int64
 
 	// soa owns the flattened router-pipeline state; every Router holds
 	// windows (sub-slices) of these arrays. See soa.go.
@@ -116,15 +110,12 @@ type Network struct {
 
 	// probe, when non-nil, observes every pipeline event (see probe.go).
 	// Emission sites nil-check it so an unobserved network pays one
-	// branch per site and nothing else. Under sharded stepping the
-	// emission sites go through the per-shard buffering sinks instead;
-	// SetProbe keeps both in sync.
+	// branch per site and nothing else.
 	probe Probe
 
-	// meter, when non-nil, accumulates engine self-telemetry — per-shard
-	// wall time per cycle phase, boundary-mailbox crossing counts — with
-	// the same one-branch-when-detached contract as probe (see
-	// enginemeter.go).
+	// meter, when non-nil, accumulates engine self-telemetry (wall time
+	// inside Step) with the same one-branch-when-detached contract as
+	// probe (see enginemeter.go).
 	meter *EngineMeter
 }
 
@@ -174,72 +165,22 @@ func NewNetwork(cfg Config) *Network {
 		n.ringLen <<= 1
 	}
 	n.ringMask = n.ringLen - 1
-	// Shard setup: contiguous router-ID ranges, as equal as integer
-	// division allows. Shards = 0 (the default) means one shard —
-	// sequential stepping; -1 picks a count from the mesh size and
-	// GOMAXPROCS (autoShards); the count is clamped to the router
-	// count. This must precede the third pass below, which bakes each
-	// port's upstream/downstream shard into the port views.
-	S := cfg.Shards
-	if S == AutoShards {
-		S = autoShards(num)
-	}
-	if S < 1 {
-		S = 1
-	}
-	if S > num {
-		S = num
-	}
-	n.shards = make([]shardState, S)
-	n.hot = make([]shardHot, S)
-	if S > 1 {
-		n.mail = make([][]shardMail, S)
-		for i := range n.mail {
-			n.mail[i] = make([]shardMail, S)
-			for j := range n.mail[i] {
-				m := &n.mail[i][j]
-				for p := 0; p < 2; p++ {
-					m.ev[p] = make([][]xEvent, n.ringLen)
-				}
-				m.cred = make([][]int32, n.ringLen)
-			}
-		}
-	}
-	for i := 0; i < S; i++ {
-		sh := &n.shards[i]
-		sh.idx = int32(i)
-		sh.lo = int32(i * num / S)
-		sh.hi = int32((i + 1) * num / S)
-		sh.net = n
-		sh.hot = &n.hot[i]
-		sh.ringLen = n.ringLen
-		sh.ringMask = n.ringMask
-		for p := 0; p < 2; p++ {
-			sh.ev[p] = make([][]event, n.ringLen)
-			sh.evIdx[p] = make([][]int32, n.ringLen)
-		}
-		sh.ejRing = make([][]ejEntry, n.ringLen)
-		sh.cred = make([][]int32, n.ringLen)
-		sh.actRC = newRouterSet(num)
-		sh.actVA = newRouterSet(num)
-		sh.actSA = newRouterSet(num)
-		sh.actNI = newRouterSet(num)
-		sh.actScratch = make([]int32, 0, sh.hi-sh.lo)
-		for ri := sh.lo; ri < sh.hi; ri++ {
-			n.routers[ri].sh = sh
-			n.routers[ri].shard = int32(i)
-		}
-	}
+	n.ev = make([][]event, n.ringLen)
+	n.ejRing = make([][]ejEntry, n.ringLen)
+	n.cred = make([][]int32, n.ringLen)
+	n.actRC = newRouterSet(num)
+	n.actVA = newRouterSet(num)
+	n.actSA = newRouterSet(num)
+	n.actNI = newRouterSet(num)
+	n.actScratch = make([]int32, 0, num)
 	// Third pass: precompute each input port's upstream credit slot and
-	// shard and each output port's downstream VC base and shard, which
-	// need every router's credBase/vcBase (bind) and shard assignment
-	// fixed first.
+	// each output port's downstream VC base, which need every router's
+	// credBase/vcBase (bind) fixed first.
 	for i := range n.routers {
 		r := &n.routers[i]
 		for pi := range r.inPorts {
 			ip := &r.inPorts[pi]
 			ip.upCredBase = -1
-			ip.upShard = r.shard
 			if ip.upstream < 0 {
 				continue
 			}
@@ -249,12 +190,10 @@ func NewNetwork(cfg Config) *Network {
 				panic(fmt.Sprintf("noc: router %d has no return port toward %d", ip.upstream, r.id))
 			}
 			ip.upCredBase = up.credBase + int32(int(oi)*cfg.VCs)
-			ip.upShard = up.shard
 		}
 		for oi := range r.outPorts {
 			op := &r.outPorts[oi]
 			op.downVCBase = -1
-			op.downShard = r.shard
 			if !op.hasLink {
 				continue
 			}
@@ -264,7 +203,6 @@ func NewNetwork(cfg Config) *Network {
 				panic(fmt.Sprintf("noc: link from %d via %v lands on missing port", r.id, op.dir))
 			}
 			op.downVCBase = down.vcBase + int32(int(dpi)*cfg.VCs)
-			op.downShard = down.shard
 		}
 	}
 	return n
@@ -278,9 +216,6 @@ func (n *Network) Cycle() int64 { return n.cycle }
 
 // Router returns the router at node id (for tests and instrumentation).
 func (n *Network) Router(id topology.NodeID) *Router { return &n.routers[id] }
-
-// Shards returns the effective shard count (>= 1; see Config.Shards).
-func (n *Network) Shards() int { return len(n.shards) }
 
 // SetEjectHandler installs the packet-completion callback.
 func (n *Network) SetEjectHandler(fn func(*Packet)) { n.onEject = fn }
@@ -302,74 +237,35 @@ func (n *Network) Enqueue(spec Spec) (*Packet, error) {
 		CreatedAt: n.cycle,
 	}
 	n.nis[spec.Src].queue = append(n.nis[spec.Src].queue, injJob{pkt: pkt, layers: spec.LayersPerFlit})
-	sh := n.routers[spec.Src].sh
-	sh.hot.queuedPackets++
-	sh.hot.queuedFlits += int64(pkt.Size)
-	sh.actNI.add(int(spec.Src))
+	n.queuedPackets++
+	n.queuedFlits += int64(pkt.Size)
+	n.actNI.add(int(spec.Src))
 	return pkt, nil
 }
 
 // QueuedPackets returns packets waiting in, or currently entering
-// through, source NIs (merged over the per-shard counters).
-func (n *Network) QueuedPackets() int64 {
-	var t int64
-	for i := range n.hot {
-		t += n.hot[i].queuedPackets
-	}
-	return t
-}
+// through, source NIs.
+func (n *Network) QueuedPackets() int64 { return n.queuedPackets }
 
 // InFlightFlits returns flits buffered in routers or on links.
-func (n *Network) InFlightFlits() int64 {
-	var t int64
-	for i := range n.hot {
-		t += n.hot[i].inFlightFlits
-	}
-	return t
-}
+func (n *Network) InFlightFlits() int64 { return n.inFlightFlits }
 
 // QueuedFlits returns flits of enqueued packets that have not yet been
 // injected into a router.
-func (n *Network) QueuedFlits() int64 {
-	var t int64
-	for i := range n.hot {
-		t += n.hot[i].queuedFlits
-	}
-	return t
-}
+func (n *Network) QueuedFlits() int64 { return n.queuedFlits }
 
 // BacklogFlits returns the total network backlog: flits waiting in NI
-// queues plus flits buffered in routers or on links. It merges the
-// per-shard incremental counters and is therefore O(Shards); the
+// queues plus flits buffered in routers or on links. It is O(1); the
 // simulator samples it every drain cycle for saturation and deadlock
 // detection.
-func (n *Network) BacklogFlits() int64 {
-	var t int64
-	for i := range n.hot {
-		t += n.hot[i].queuedFlits + n.hot[i].inFlightFlits
-	}
-	return t
-}
+func (n *Network) BacklogFlits() int64 { return n.queuedFlits + n.inFlightFlits }
 
 // Idle reports whether no traffic remains anywhere in the network.
-func (n *Network) Idle() bool {
-	for i := range n.hot {
-		if n.hot[i].queuedPackets != 0 || n.hot[i].inFlightFlits != 0 {
-			return false
-		}
-	}
-	return true
-}
+func (n *Network) Idle() bool { return n.queuedPackets == 0 && n.inFlightFlits == 0 }
 
-// Step advances the simulation by one cycle: sequentially with a single
-// shard, concurrently across shards otherwise (shard.go). The two paths
-// are bit-identical for any shard count.
+// Step advances the simulation by one cycle.
 func (n *Network) Step() {
 	n.cycle++
-	if len(n.shards) > 1 {
-		n.stepSharded()
-		return
-	}
 	if m := n.meter; m != nil {
 		n.stepSeqMetered(m)
 		return
@@ -377,21 +273,34 @@ func (n *Network) Step() {
 	n.stepSeq()
 }
 
-// stepSeq is the single-shard cycle — the sequential reference path the
-// sharded step is checked against. It runs on shard 0's rings and
-// activity sets (with Shards <= 1 they are the network's only ones);
-// the shard's send phase stays pinned to 0, so every append shares one
-// ring segment and the delivery loop sees the historical single-ring
-// order at the historical cost.
+// evSlot returns the arrival-event lane for delivery cycle at,
+// rejecting deltas outside the ring's horizon.
+func (n *Network) evSlot(now, at int64) *[]event {
+	if d := at - now; d <= 0 || d >= n.ringLen {
+		panic("noc: schedule delta out of range")
+	}
+	return &n.ev[at&n.ringMask]
+}
+
+// credSlot is evSlot's counterpart for the credit ring.
+func (n *Network) credSlot(now, at int64) *[]int32 {
+	if d := at - now; d <= 0 || d >= n.ringLen {
+		panic("noc: schedule delta out of range")
+	}
+	return &n.cred[at&n.ringMask]
+}
+
+// stepSeq is the cycle body: deliver the events scheduled for this
+// cycle, then inject and run the router pipelines. Eject callbacks run
+// inline during delivery, before this cycle's injection.
 func (n *Network) stepSeq() {
-	sh := &n.shards[0]
 	slot := n.cycle & n.ringMask
 
 	// 1. Deliver events scheduled for this cycle. Credits first: they
 	// only increment flat counters and interact with nothing below, so
 	// their ordering against flit deliveries is unobservable.
-	creds := sh.cred[slot]
-	sh.cred[slot] = creds[:0]
+	creds := n.cred[slot]
+	n.cred[slot] = creds[:0]
 	depth := int32(n.cfg.BufDepth)
 	for _, ci := range creds {
 		n.soa.credits[ci]++
@@ -399,8 +308,8 @@ func (n *Network) stepSeq() {
 			panic(fmt.Sprintf("noc: credit overflow at flat credit slot %d", ci))
 		}
 	}
-	events := sh.ev[0][slot]
-	sh.ev[0][slot] = events[:0]
+	events := n.ev[slot]
+	n.ev[slot] = events[:0]
 	ownerOf := n.soa.ownerOf
 	for _, ev := range events {
 		if ev >= 0 {
@@ -421,8 +330,8 @@ func (n *Network) stepSeq() {
 			}
 			continue
 		}
-		sh.hot.inFlightFlits--
-		e := &sh.ejRing[slot][^ev]
+		n.inFlightFlits--
+		e := &n.ejRing[slot][^ev]
 		if n.probe != nil {
 			n.probe.ProbeEvent(ProbeEvent{Kind: ProbeEject, Cycle: n.cycle, Router: topology.NodeID(e.router), Flit: e.flit})
 		}
@@ -436,7 +345,7 @@ func (n *Network) stepSeq() {
 	}
 	// New events only ever target future slots (evSlot rejects d <= 0),
 	// so the payload slice is safe to recycle once the loop is done.
-	sh.ejRing[slot] = sh.ejRing[slot][:0]
+	n.ejRing[slot] = n.ejRing[slot][:0]
 
 	// 2. Inject from NIs (one flit per node per cycle), then the router
 	// pipelines in reverse stage order so a flit advances at most one
@@ -463,20 +372,20 @@ func (n *Network) stepSeq() {
 		}
 		return
 	}
-	sh.actScratch = sh.actNI.appendMembers(sh.actScratch[:0])
-	for _, id := range sh.actScratch {
+	n.actScratch = n.actNI.appendMembers(n.actScratch[:0])
+	for _, id := range n.actScratch {
 		n.inject(topology.NodeID(id))
 	}
-	sh.actScratch = sh.actSA.appendMembers(sh.actScratch[:0])
-	for _, id := range sh.actScratch {
+	n.actScratch = n.actSA.appendMembers(n.actScratch[:0])
+	for _, id := range n.actScratch {
 		n.routers[id].stepSA(n.cycle)
 	}
-	sh.actScratch = sh.actVA.appendMembers(sh.actScratch[:0])
-	for _, id := range sh.actScratch {
+	n.actScratch = n.actVA.appendMembers(n.actScratch[:0])
+	for _, id := range n.actScratch {
 		n.routers[id].stepVA(n.cycle)
 	}
-	sh.actScratch = sh.actRC.appendMembers(sh.actScratch[:0])
-	for _, id := range sh.actScratch {
+	n.actScratch = n.actRC.appendMembers(n.actScratch[:0])
+	for _, id := range n.actScratch {
 		n.routers[id].stepRC(n.cycle)
 	}
 	if n.cfg.Mode == StepChecked {
@@ -495,13 +404,10 @@ func (n *Network) CheckedStep() error {
 	return n.CheckInvariants()
 }
 
-// inject advances the NI at node id by at most one flit. It touches
-// only state of id's shard (the NI, the router's local port, the
-// shard's hot counters and NI set), so shards inject concurrently.
+// inject advances the NI at node id by at most one flit.
 func (n *Network) inject(id topology.NodeID) {
 	s := &n.nis[id]
 	r := &n.routers[id]
-	sh := r.sh
 	lpi := int(r.inIndex[topology.Local])
 
 	if !s.injecting {
@@ -510,7 +416,7 @@ func (n *Network) inject(id topology.NodeID) {
 			// Enqueue (only reached in full-scan mode; the activity
 			// path removes the NI eagerly when its last packet
 			// completes).
-			sh.actNI.remove(int(id))
+			n.actNI.remove(int(id))
 			return
 		}
 		job := s.queue[s.qhead]
@@ -554,22 +460,22 @@ func (n *Network) inject(id topology.NodeID) {
 	// acceptFlit computes the route and emits the flit's first route
 	// event, and the trace contract promises inject precedes every later
 	// event of the same flit (obs.Replay enforces it).
-	if sh.probe != nil {
-		sh.probe.ProbeEvent(ProbeEvent{
+	if n.probe != nil {
+		n.probe.ProbeEvent(ProbeEvent{
 			Kind: ProbeInject, Cycle: n.cycle, Router: id,
 			Dir: topology.Local, VC: int8(s.curVC), Flit: f,
 		})
 	}
 	r.acceptFlit(n.cycle, lpi, s.curVC, f)
-	sh.hot.inFlightFlits++
-	sh.hot.queuedFlits--
+	n.inFlightFlits++
+	n.queuedFlits--
 	s.curSeq++
 	if s.curSeq == job.pkt.Size {
 		s.cur = injJob{}
 		s.injecting = false
-		sh.hot.queuedPackets--
+		n.queuedPackets--
 		if len(s.pending()) == 0 {
-			sh.actNI.remove(int(id))
+			n.actNI.remove(int(id))
 		}
 	}
 }

@@ -109,27 +109,7 @@ type Probe interface {
 // SetProbe attaches p to the network (nil detaches). The probe observes
 // every subsequent pipeline event; attach before the first Step for a
 // complete trace.
-//
-// Under sequential stepping the emission sites call p directly. Under
-// sharded stepping they call the per-shard buffering sinks instead, and
-// the serial epilogue of Step merges the buffers into the canonical
-// event order before replaying them into p (shard.go), so the stream p
-// sees is byte-identical at any shard count.
-func (n *Network) SetProbe(p Probe) {
-	n.probe = p
-	sharded := len(n.shards) > 1
-	for i := range n.shards {
-		sh := &n.shards[i]
-		switch {
-		case p == nil:
-			sh.probe, sh.stamp = nil, false
-		case sharded:
-			sh.probe, sh.stamp = sh, true
-		default:
-			sh.probe, sh.stamp = p, false
-		}
-	}
-}
+func (n *Network) SetProbe(p Probe) { n.probe = p }
 
 // Instrumentation accessors: read-only views of live router state for
 // the cycle sampler (internal/obs). All are O(ports·VCs) or cheaper and

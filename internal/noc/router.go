@@ -48,10 +48,6 @@ type inputPort struct {
 	// vc 0, precomputed so the forward path schedules a credit return as
 	// a single int32. -1 for the local port.
 	upCredBase int32
-	// upShard is the shard owning the upstream router (this router's
-	// own shard for the local port); credit returns that cross it go
-	// through the boundary mailbox instead of the shard's own ring.
-	upShard int32
 	// credDelta is the credit-return delay toward the upstream router:
 	// the latency plus serialization of the reverse channel this
 	// router's credits travel (1 for on-chip links — the historical
@@ -79,12 +75,6 @@ type outputPort struct {
 	// forward path reserves the destination slot and schedules the
 	// arrival event from a single add. -1 for the local port.
 	downVCBase int32
-	// downShard is the shard owning the downstream router (this
-	// router's own shard for the local port). Forwards staying inside
-	// the shard direct-write the flit into the downstream ring slot;
-	// forwards that cross it carry the flit through the boundary
-	// mailbox (shard.go).
-	downShard int32
 	// arriveDelta is the cycles from a switch-allocation grant until
 	// the flit lands in the downstream buffer: STLTCycles - 1 pipeline
 	// cycles plus the link's latency plus its serialization tail
@@ -107,14 +97,8 @@ type outputPort struct {
 // local flat VC index f = pi*VCs + vi (or by port index); see soa.go
 // for the layout and ownership rules.
 type Router struct {
-	id  topology.NodeID
-	net *Network
-	// sh is the shard stepping this router (shard 0 under sequential
-	// stepping); the forward path schedules into its rings and the
-	// probe emission sites go through its sink. shard caches sh.idx
-	// for the same-shard test per forwarded flit.
-	sh       *shardState
-	shard    int32
+	id       topology.NodeID
+	net      *Network
 	inPorts  []inputPort
 	outPorts []outputPort
 	inIndex  [topology.NumDirs]int8 // dir -> port index, -1 if absent
@@ -388,8 +372,8 @@ func (r *Router) routeHead(f int) {
 	r.vcOutPort[f] = oi
 	r.vcClass[f] = pkt.Class
 	r.Counters.RCOps++
-	if r.sh.probe != nil {
-		r.sh.probe.ProbeEvent(ProbeEvent{
+	if r.net.probe != nil {
+		r.net.probe.ProbeEvent(ProbeEvent{
 			Kind: ProbeRoute, Cycle: r.net.cycle, Router: r.id, Dir: d, Flit: *flit,
 		})
 	}
@@ -621,8 +605,8 @@ func (r *Router) grantVC(cycle int64, g, oi, ov int) {
 	r.setVCState(int32(g), vcActive)
 	r.vcReadyAt[g] = cycle + 1
 	r.Counters.VAGrants++
-	if r.sh.probe != nil {
-		r.sh.probe.ProbeEvent(ProbeEvent{
+	if r.net.probe != nil {
+		r.net.probe.ProbeEvent(ProbeEvent{
 			Kind: ProbeVCAlloc, Cycle: cycle, Router: r.id,
 			Dir: r.outPorts[oi].dir, VC: int8(ov), Flit: *r.vcFrontFlit(g),
 		})
@@ -1005,7 +989,8 @@ func (r *Router) trySpeculativeForward(cycle int64, f, oi int) {
 // out exactly once — into the downstream ring (vcReserveSlot) or the
 // ejection event — then dropped without a pop copy.
 func (r *Router) forward(cycle int64, fi, oi int) {
-	cfg := &r.net.cfg
+	n := r.net
+	cfg := &n.cfg
 	pi := int(r.portOf[fi])
 	ip := &r.inPorts[pi]
 	op := &r.outPorts[oi]
@@ -1017,27 +1002,19 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 	r.Counters.WBufReads += frac
 	r.Counters.XbarFlits++
 	r.Counters.WXbarFlits += frac
-	sh := r.sh
-	if sh.probe != nil {
-		sh.probe.ProbeEvent(ProbeEvent{
+	if n.probe != nil {
+		n.probe.ProbeEvent(ProbeEvent{
 			Kind: ProbeSAGrant, Cycle: cycle, Router: r.id, Dir: op.dir, VC: int8(outVC), Flit: *f,
 		})
 	}
 
-	// Credit back to the upstream router (the NI checks space directly);
-	// a credit crossing the shard boundary rides the mailbox's credit
-	// lane instead of the shard's own ring. The return is delayed by the
-	// reverse link's latency plus serialization occupancy (credDelta is 1
-	// for on-chip links, matching the historical next-cycle return).
+	// Credit back to the upstream router (the NI checks space directly).
+	// The return is delayed by the reverse link's latency plus
+	// serialization occupancy (credDelta is 1 for on-chip links,
+	// matching the historical next-cycle return).
 	if ip.upCredBase >= 0 {
-		ci := ip.upCredBase + int32(r.vcOf[fi])
-		if ip.upShard == r.shard {
-			cs := sh.credSlot(cycle, cycle+ip.credDelta)
-			*cs = append(*cs, ci)
-		} else {
-			cs := r.net.mailCredSlot(sh, ip.upShard, cycle+ip.credDelta)
-			*cs = append(*cs, ci)
-		}
+		cs := n.credSlot(cycle, cycle+ip.credDelta)
+		*cs = append(*cs, ip.upCredBase+int32(r.vcOf[fi]))
 	}
 
 	if f.Type.IsHead() && op.dir != topology.Local {
@@ -1047,19 +1024,12 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 
 	if op.dir == topology.Local {
 		// Ejection: ST (and wire to the NI) still takes the configured
-		// cycles; the sink always accepts. Ejections never cross a
-		// shard boundary (the local port has no downstream router), so
-		// the payload goes into the shard's own ejection ring.
+		// cycles; the sink always accepts.
 		at := cycle + int64(cfg.STLTCycles)
-		s := sh.evSlot(cycle, at)
-		ej := &sh.ejRing[at&sh.ringMask]
+		s := n.evSlot(cycle, at)
+		ej := &n.ejRing[at&n.ringMask]
 		*s = append(*s, ^event(len(*ej)))
 		*ej = append(*ej, ejEntry{flit: *f, router: int32(r.id)})
-		if sh.stamp {
-			idx := &sh.evIdx[sh.phase][at&sh.ringMask]
-			*idx = append(*idx, sh.hot.seq)
-			sh.hot.seq++
-		}
 	} else {
 		ci := oi*r.vcsPerPort + outVC
 		r.credits[ci]--
@@ -1069,8 +1039,8 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 		r.Counters.LinkFlits++
 		r.Counters.WLinkFlits += frac
 		op.flitCount++
-		if sh.probe != nil {
-			sh.probe.ProbeEvent(ProbeEvent{
+		if n.probe != nil {
+			n.probe.ProbeEvent(ProbeEvent{
 				Kind: ProbeLink, Cycle: cycle, Router: r.id, Dir: op.dir, VC: int8(outVC), Flit: *f,
 			})
 		}
@@ -1095,48 +1065,28 @@ func (r *Router) forward(cycle int64, fi, oi int) {
 		// bit-identity with the single-chip model.
 		at := cycle + op.arriveDelta
 		gi := op.downVCBase + event(outVC)
-		if op.downShard == r.shard {
-			// The flit body goes straight into its future slot of the
-			// downstream VC ring (single copy); the event word is the
-			// destination's global flat VC index — the arrival notice
-			// that exposes the flit at the delivery cycle. This is
-			// vcReserveGlobal (soa.go) spelled out: the compiler won't
-			// inline it and the call sits on the busiest line of the
-			// simulator.
-			st := &r.net.soa
-			depth := r.bufDepth
-			occ := int(st.vcLen[gi]) + int(st.vcInFly[gi])
-			if occ >= depth {
-				r.net.reserveOverflow(gi)
-			}
-			slot := int(st.vcHead[gi]) + occ
-			if slot >= depth {
-				slot -= depth
-			}
-			st.bufFlit[int(gi)*depth+slot] = *f
-			st.bufArrived[int(gi)*depth+slot] = at
-			st.vcInFly[gi]++
-			s := sh.evSlot(cycle, at)
-			*s = append(*s, gi)
-			if sh.stamp {
-				idx := &sh.evIdx[sh.phase][at&sh.ringMask]
-				*idx = append(*idx, sh.hot.seq)
-				sh.hot.seq++
-			}
-		} else {
-			// Cross-shard forward: the downstream arrays belong to a
-			// shard that may be mid-cycle, so the flit body rides the
-			// boundary mailbox and is pushed into the destination ring
-			// at delivery time (deliverMailArrival). The credit check
-			// above already guaranteed the space.
-			var seq int32
-			if sh.stamp {
-				seq = sh.hot.seq
-				sh.hot.seq++
-			}
-			ms := r.net.mailEvSlot(sh, op.downShard, at)
-			*ms = append(*ms, xEvent{gi: gi, idx: seq, flit: *f})
+		// The flit body goes straight into its future slot of the
+		// downstream VC ring (single copy); the event word is the
+		// destination's global flat VC index — the arrival notice that
+		// exposes the flit at the delivery cycle. This is
+		// vcReserveGlobal (soa.go) spelled out: the compiler won't
+		// inline it and the call sits on the busiest line of the
+		// simulator.
+		st := &n.soa
+		depth := r.bufDepth
+		occ := int(st.vcLen[gi]) + int(st.vcInFly[gi])
+		if occ >= depth {
+			n.reserveOverflow(gi)
 		}
+		slot := int(st.vcHead[gi]) + occ
+		if slot >= depth {
+			slot -= depth
+		}
+		st.bufFlit[int(gi)*depth+slot] = *f
+		st.bufArrived[int(gi)*depth+slot] = at
+		st.vcInFly[gi]++
+		s := n.evSlot(cycle, at)
+		*s = append(*s, gi)
 	}
 	r.vcDrop(fi)
 

@@ -131,11 +131,14 @@ type Sim struct {
 
 	// OnEject, when non-nil, is invoked for every ejected packet —
 	// measured or not — before Run's own accounting. Closed-loop
-	// generators (internal/collective) hook here to observe deliveries
-	// and unlock causally-dependent sends; under sharded stepping the
-	// network replays ejections in canonical router order, so the hook
-	// sees a deterministic sequence at any shard count. The callback
-	// must not retain the packet past the call.
+	// generators (internal/collective, cmp.ClosedSystem) hook here to
+	// observe deliveries and unlock causally-dependent sends.
+	//
+	// The contract: the callback runs inline during the delivery phase
+	// of Network.Step, in event-ring order, before that cycle's
+	// injection. A packet enqueued from inside the callback is
+	// therefore eligible to inject in the same cycle it was created.
+	// The callback must not retain the packet past the call.
 	OnEject func(pkt *Packet)
 
 	rng *rand.Rand
@@ -168,10 +171,6 @@ func (s *Sim) Run(ctx context.Context) Result {
 		panic("noc: Sim.Run called twice; a Sim is single-shot, build a new one per run")
 	}
 	s.ran = true
-	// Stop the persistent shard workers (if sharded stepping started
-	// them) so batch drivers running many Sims back to back do not
-	// accumulate parked goroutines per network.
-	defer s.Net.ReleaseWorkers()
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -300,12 +300,10 @@ func (r *Router) vcFrontArrived(f int) int64 {
 }
 
 // vcPush appends a flit to VC f's ring. Overflow means a credit
-// accounting bug upstream; the panic names the exact buffer. Two paths
-// push: the NI injection path (local-port VCs, which never carry link
-// traffic) and cross-shard mailbox delivery (deliverMailArrival; a
-// channel fed from another shard never holds send-time reservations,
-// so vcInFly stays 0 on it) — in both cases vcLen alone positions the
-// slot and can never collide with a vcReserveGlobal reservation.
+// accounting bug upstream; the panic names the exact buffer. Only the
+// NI injection path pushes (local-port VCs, which never carry link
+// traffic), so vcLen alone positions the slot and can never collide
+// with a vcReserveGlobal reservation.
 func (r *Router) vcPush(f int, flit Flit, arrivedAt int64) {
 	if int(r.vcLen[f]) >= r.bufDepth {
 		pi, vi := f/r.vcsPerPort, f%r.vcsPerPort

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -16,11 +15,11 @@ import (
 
 // Engine self-telemetry: where the *simulator's own* execution spends
 // wall-clock time, as opposed to what the simulated network does. An
-// EngineCollector pairs a noc.EngineMeter (per-shard cycle-phase wall
-// time, boundary-mailbox crossings) with a wall-clock ticker goroutine
-// that samples the meter, the Go runtime (heap, GC, goroutines) and an
-// EMA-smoothed cycles/sec throughput with an ETA against the run's
-// warmup+measure target.
+// EngineCollector pairs a noc.EngineMeter (cycles stepped, wall time
+// inside Step) with a wall-clock ticker goroutine that samples the
+// meter, the Go runtime (heap, GC, goroutines) and an EMA-smoothed
+// cycles/sec throughput with an ETA against the run's warmup+measure
+// target.
 //
 // The out-of-band contract: nothing here ever feeds back into
 // simulation state — wall-clock readings steer no simulated decision,
@@ -45,23 +44,14 @@ const emaAlpha = 0.3
 // arbitrarily long runs.
 const maxEngineWindows = 4096
 
-// imbalanceWarnMinCycles is the observation floor before the one-shot
-// shard-imbalance warning may fire — short runs and warmup transients
-// should not trigger advice.
-const imbalanceWarnMinCycles = 10000
-
 // EngineWindow is one ticker sample: the deltas accumulated since the
-// previous tick plus the smoothed rate at that point. ShardBusyNs et
-// al. are indexed by shard.
+// previous tick plus the smoothed rate at that point.
 type EngineWindow struct {
-	Cycle          int64   `json:"cycle"`   // simulated cycle at sample time
-	WallMs         float64 `json:"wall_ms"` // wall offset from collector start
-	Cycles         int64   `json:"cycles"`  // cycles stepped in this window
-	Rate           float64 `json:"rate"`    // EMA cycles/sec after this window
-	Imbalance      float64 `json:"imbalance,omitempty"`
-	ShardBusyNs    []int64 `json:"shard_busy_ns"`
-	ShardDrainNs   []int64 `json:"shard_drain_ns,omitempty"`
-	ShardBarrierNs []int64 `json:"shard_barrier_ns,omitempty"`
+	Cycle  int64   `json:"cycle"`   // simulated cycle at sample time
+	WallMs float64 `json:"wall_ms"` // wall offset from collector start
+	Cycles int64   `json:"cycles"`  // cycles stepped in this window
+	Rate   float64 `json:"rate"`    // EMA cycles/sec after this window
+	StepNs int64   `json:"step_ns"` // wall time inside Step in this window
 }
 
 // runtimeSample is one Go-runtime reading taken on the ticker.
@@ -79,7 +69,6 @@ type runtimeSample struct {
 // of the same run.
 type EngineSeries struct {
 	Label      string             `json:"label,omitempty"`
-	Shards     int                `json:"shards"`
 	IntervalMs float64            `json:"interval_ms"`
 	WallMs     float64            `json:"wall_ms"`
 	Windows    []EngineWindow     `json:"windows"`
@@ -97,13 +86,11 @@ func ReadEngineSeries(r io.Reader) (EngineSeries, error) {
 // EngineProgress is one progress digest handed to the progress hook on
 // every ticker sample.
 type EngineProgress struct {
-	Label     string
-	Cycle     int64
-	Target    int64 // warmup+measure cycles; 0 = unknown
-	Rate      float64
-	ETA       time.Duration // 0 = unknown, past target, or draining
-	Imbalance float64
-	Shards    int
+	Label  string
+	Cycle  int64
+	Target int64 // warmup+measure cycles; 0 = unknown
+	Rate   float64
+	ETA    time.Duration // 0 = unknown, past target, or draining
 }
 
 // String renders the single-line form used by mirasim -progress.
@@ -115,9 +102,6 @@ func (p EngineProgress) String() string {
 	s += "  " + humanRate(p.Rate) + " cyc/s"
 	if p.ETA > 0 {
 		s += "  eta " + p.ETA.Round(time.Second).String()
-	}
-	if p.Shards > 1 {
-		s += fmt.Sprintf("  imb %.2fx (%d shards)", p.Imbalance, p.Shards)
 	}
 	return s
 }
@@ -164,20 +148,17 @@ type EngineCollector struct {
 	start    time.Time
 
 	// lastAdvance is the unix-nano time of the last tick that observed
-	// cycle progress — the liveness signal behind /healthz: a hung shard
-	// barrier stops advancing cycles while the process stays up.
+	// cycle progress — the liveness signal behind /healthz: a hung run
+	// stops advancing cycles while the process stays up.
 	lastAdvance atomic.Int64
 
-	mu        sync.Mutex
-	last      noc.EngineSnapshot
-	lastWall  time.Time
-	ema       float64
-	windows   []EngineWindow
-	rt        runtimeSample
-	imbCycles int64 // cycles observed under >2x imbalance
-	obsCycles int64 // cycles observed across all windows
-	warned    bool
-	closed    bool
+	mu       sync.Mutex
+	last     noc.EngineSnapshot
+	lastWall time.Time
+	ema      float64
+	windows  []EngineWindow
+	rt       runtimeSample
+	closed   bool
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -221,7 +202,7 @@ func (ec *EngineCollector) loop() {
 }
 
 // sample takes one ticker reading: meter deltas, runtime stats, EMA
-// update, imbalance accounting, and fires the progress hook.
+// update, and fires the progress hook.
 func (ec *EngineCollector) sample(now time.Time) {
 	snap := ec.meter.Snapshot()
 	var ms runtime.MemStats
@@ -242,40 +223,11 @@ func (ec *EngineCollector) sample(now time.Time) {
 		}
 	}
 	w := EngineWindow{
-		Cycle:       snap.Cycles,
-		WallMs:      now.Sub(ec.start).Seconds() * 1e3,
-		Cycles:      dc,
-		Rate:        ec.ema,
-		ShardBusyNs: make([]int64, len(snap.Shards)),
-	}
-	S := len(snap.Shards)
-	if S > 1 {
-		w.ShardDrainNs = make([]int64, S)
-		w.ShardBarrierNs = make([]int64, S)
-	}
-	var busySum, busyMax int64
-	for i := range snap.Shards {
-		var prev noc.EngineShardStat
-		if i < len(ec.last.Shards) {
-			prev = ec.last.Shards[i]
-		}
-		b := snap.Shards[i].BusyNs - prev.BusyNs
-		w.ShardBusyNs[i] = b
-		busySum += b
-		if b > busyMax {
-			busyMax = b
-		}
-		if S > 1 {
-			w.ShardDrainNs[i] = snap.Shards[i].DrainNs - prev.DrainNs
-			w.ShardBarrierNs[i] = snap.Shards[i].BarrierNs - prev.BarrierNs
-		}
-	}
-	if S > 1 && busySum > 0 {
-		w.Imbalance = float64(busyMax) * float64(S) / float64(busySum)
-		ec.obsCycles += dc
-		if w.Imbalance > 2 {
-			ec.imbCycles += dc
-		}
+		Cycle:  snap.Cycles,
+		WallMs: now.Sub(ec.start).Seconds() * 1e3,
+		Cycles: dc,
+		Rate:   ec.ema,
+		StepNs: snap.StepNs - ec.last.StepNs,
 	}
 	ec.windows = append(ec.windows, w)
 	if len(ec.windows) >= maxEngineWindows {
@@ -289,24 +241,9 @@ func (ec *EngineCollector) sample(now time.Time) {
 		NumGC:      ms.NumGC,
 		GCPauseNs:  ms.PauseTotalNs,
 	}
-	warnNow := !ec.warned && S > 1 &&
-		ec.obsCycles >= imbalanceWarnMinCycles && ec.imbCycles*4 > ec.obsCycles
-	if warnNow {
-		ec.warned = true
-	}
 	progress := ec.progressLocked(snap)
-	imbFrac := 0.0
-	if ec.obsCycles > 0 {
-		imbFrac = float64(ec.imbCycles) / float64(ec.obsCycles)
-	}
 	ec.mu.Unlock()
 
-	if warnNow {
-		slog.Warn("shard load imbalance: the hottest shard ran more than 2x the mean busy time",
-			"label", ec.label, "shards", S,
-			"imbalanced_cycle_frac", fmt.Sprintf("%.2f", imbFrac),
-			"hint", "consider -shards=-1 to auto-tune the shard count")
-	}
 	if fn := engineProgressHook.Load(); fn != nil {
 		(*fn)(progress)
 	}
@@ -321,18 +258,7 @@ func compactWindows(in []EngineWindow) []EngineWindow {
 		a, b := in[i], in[i+1]
 		m := b
 		m.Cycles = a.Cycles + b.Cycles
-		for s := range m.ShardBusyNs {
-			m.ShardBusyNs[s] += a.ShardBusyNs[s]
-		}
-		for s := range m.ShardDrainNs {
-			m.ShardDrainNs[s] += a.ShardDrainNs[s]
-		}
-		for s := range m.ShardBarrierNs {
-			m.ShardBarrierNs[s] += a.ShardBarrierNs[s]
-		}
-		if a.Imbalance > m.Imbalance {
-			m.Imbalance = a.Imbalance
-		}
+		m.StepNs = a.StepNs + b.StepNs
 		out = append(out, m)
 	}
 	if len(in)%2 == 1 {
@@ -344,12 +270,10 @@ func compactWindows(in []EngineWindow) []EngineWindow {
 // progressLocked builds the hook payload; ec.mu must be held.
 func (ec *EngineCollector) progressLocked(snap noc.EngineSnapshot) EngineProgress {
 	p := EngineProgress{
-		Label:     ec.label,
-		Cycle:     snap.Cycles,
-		Target:    ec.target,
-		Rate:      ec.ema,
-		Imbalance: snap.ImbalanceRatio(),
-		Shards:    len(snap.Shards),
+		Label:  ec.label,
+		Cycle:  snap.Cycles,
+		Target: ec.target,
+		Rate:   ec.ema,
 	}
 	if rem := ec.target - snap.Cycles; ec.target > 0 && rem > 0 && ec.ema > 0 {
 		p.ETA = time.Duration(float64(rem) / ec.ema * float64(time.Second))
@@ -396,7 +320,6 @@ func (ec *EngineCollector) Series() EngineSeries {
 	defer ec.mu.Unlock()
 	es := EngineSeries{
 		Label:      ec.label,
-		Shards:     len(snap.Shards),
 		IntervalMs: float64(ec.interval) / float64(time.Millisecond),
 		WallMs:     ec.lastWall.Sub(ec.start).Seconds() * 1e3,
 		Windows:    append([]EngineWindow(nil), ec.windows...),
@@ -423,9 +346,8 @@ func (ec *EngineCollector) PromSamples(extra [][2]string) []PromSample {
 	rt := ec.rt
 	ec.mu.Unlock()
 
-	add := func(out []PromSample, name string, v float64, labels ...[2]string) []PromSample {
-		s := PromSample{Name: name, Value: v, Labels: append(append([][2]string{}, extra...), labels...)}
-		return append(out, s)
+	add := func(out []PromSample, name string, v float64) []PromSample {
+		return append(out, PromSample{Name: name, Value: v, Labels: append([][2]string{}, extra...)})
 	}
 	var out []PromSample
 	out = add(out, "mira_engine_cycles_total", float64(snap.Cycles))
@@ -435,20 +357,7 @@ func (ec *EngineCollector) PromSamples(extra [][2]string) []PromSample {
 		eta = float64(rem) / ema
 	}
 	out = add(out, "mira_engine_eta_seconds", eta)
-	for _, s := range snap.Shards {
-		lab := [2]string{"shard", fmt.Sprintf("%d", s.Shard)}
-		out = add(out, "mira_engine_shard_busy_seconds", float64(s.BusyNs)/1e9, lab)
-		out = add(out, "mira_engine_shard_drain_seconds", float64(s.DrainNs)/1e9, lab)
-		out = add(out, "mira_engine_shard_barrier_seconds", float64(s.BarrierNs)/1e9, lab)
-	}
-	out = add(out, "mira_engine_shard_imbalance_ratio", snap.ImbalanceRatio())
-	for _, mb := range snap.Mailbox {
-		labs := [][2]string{{"src", fmt.Sprintf("%d", mb.Src)}, {"dst", fmt.Sprintf("%d", mb.Dst)}}
-		out = add(out, "mira_engine_mailbox_flits_total", float64(mb.Flits), labs...)
-		out = add(out, "mira_engine_mailbox_credits_total", float64(mb.Credits), labs...)
-	}
-	out = add(out, "mira_engine_pool_workers", float64(len(snap.Shards)))
-	out = add(out, "mira_engine_pool_utilization", snap.Utilization())
+	out = add(out, "mira_engine_step_seconds_total", float64(snap.StepNs)/1e9)
 	out = add(out, "mira_engine_heap_bytes", float64(rt.HeapBytes))
 	out = add(out, "mira_engine_goroutines", float64(rt.Goroutines))
 	out = add(out, "mira_engine_gc_total", float64(rt.NumGC))
@@ -470,42 +379,26 @@ func (ec *EngineCollector) Table() stats.Table {
 
 	t := stats.Table{
 		Title:  "engine telemetry",
-		Header: []string{"shard", "routers", "busy_s", "drain_s", "barrier_s", "busy_pct", "cycles"},
+		Header: []string{"routers", "cycles", "step_s", "step_pct", "ns_per_router_cycle"},
 	}
-	for _, s := range snap.Shards {
-		pct := 0.0
-		if snap.StepNs > 0 {
-			pct = 100 * float64(s.BusyNs) / float64(snap.StepNs)
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", s.Shard),
-			fmt.Sprintf("%d", s.Routers),
-			fmt.Sprintf("%.3f", float64(s.BusyNs)/1e9),
-			fmt.Sprintf("%.3f", float64(s.DrainNs)/1e9),
-			fmt.Sprintf("%.3f", float64(s.BarrierNs)/1e9),
-			fmt.Sprintf("%.1f", pct),
-			fmt.Sprintf("%d", s.Cycles),
-		})
+	routers := snap.Shards[0].Routers
+	pct, perRC := 0.0, 0.0
+	if wall > 0 {
+		pct = 100 * float64(snap.StepNs) / 1e9 / wall
 	}
+	if rc := snap.Cycles * int64(routers); rc > 0 {
+		perRC = float64(snap.StepNs) / float64(rc)
+	}
+	t.Rows = append(t.Rows, []string{
+		fmt.Sprintf("%d", routers),
+		fmt.Sprintf("%d", snap.Cycles),
+		fmt.Sprintf("%.3f", float64(snap.StepNs)/1e9),
+		fmt.Sprintf("%.1f", pct),
+		fmt.Sprintf("%.1f", perRC),
+	})
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("cycles=%d wall=%.2fs step=%.2fs rate=%s cyc/s (EMA)",
-			snap.Cycles, wall, float64(snap.StepNs)/1e9, humanRate(ema)),
-		fmt.Sprintf("pool: %d workers, utilization %.0f%%, imbalance %.2fx (max/mean shard busy)",
-			len(snap.Shards), 100*snap.Utilization(), snap.ImbalanceRatio()))
-	if len(snap.Mailbox) > 0 {
-		var flits, creds int64
-		hot := snap.Mailbox[0]
-		for _, mb := range snap.Mailbox {
-			flits += mb.Flits
-			creds += mb.Credits
-			if mb.Flits > hot.Flits {
-				hot = mb
-			}
-		}
-		t.Notes = append(t.Notes,
-			fmt.Sprintf("mailbox: %d flits, %d credits across %d shard pairs; hottest %d->%d (%d flits)",
-				flits, creds, len(snap.Mailbox), hot.Src, hot.Dst, hot.Flits))
-	}
+			snap.Cycles, wall, float64(snap.StepNs)/1e9, humanRate(ema)))
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("runtime: heap %.1f MB, %d goroutines, %d GCs, %.1f ms GC pause",
 			float64(rt.HeapBytes)/(1<<20), rt.Goroutines, rt.NumGC, float64(rt.GCPauseNs)/1e6),

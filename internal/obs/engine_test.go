@@ -22,10 +22,9 @@ type engineArtifacts struct {
 // runEngineArtifacts runs a short observed simulation and renders every
 // deterministic artifact: the flit trace, the sampled series CSV, the
 // attribution CSV, the Perfetto span export and the result JSON.
-func runEngineArtifacts(t *testing.T, shards int, mode noc.StepMode, engine bool, measure int64) engineArtifacts {
+func runEngineArtifacts(t *testing.T, mode noc.StepMode, engine bool, measure int64) engineArtifacts {
 	t.Helper()
 	nc := testConfig()
-	nc.Shards = shards
 	nc.Mode = mode
 	net := noc.NewNetwork(nc)
 	cfg := Config{Window: 100, Spans: true}
@@ -78,9 +77,15 @@ func runEngineArtifacts(t *testing.T, shards int, mode noc.StepMode, engine bool
 // every simulated artifact — ejection-derived results, series tables,
 // flit traces, span attribution and the Perfetto export — must be
 // byte-identical with engine telemetry attached vs detached, across
-// shard counts {1, 4, -1 (auto)} and step modes. The engine ticker
-// races the simulation on purpose (2ms interval); under -race this also
-// proves the sampling path is data-race free.
+// step modes. The engine ticker races the simulation on purpose (2ms
+// interval); under -race this also proves the sampling path is data-race
+// free.
+//
+// The shards<n> cases name the legacy -shards settings {1, 4, -1 (auto)}
+// that saved scenarios and command lines may still carry. Each now runs
+// the one sequential engine, so the cases repeat the comparison; the
+// ticker interleaving differs from run to run, which is what the
+// repetitions exercise.
 func TestEngineTelemetryPurity(t *testing.T) {
 	modes := []noc.StepMode{noc.StepActivity, noc.StepFullScan, noc.StepChecked}
 	for _, mode := range modes {
@@ -88,10 +93,10 @@ func TestEngineTelemetryPurity(t *testing.T) {
 		if mode == noc.StepChecked {
 			measure = 300 // invariant suite per cycle is expensive
 		}
-		for _, shards := range []int{1, 4, noc.AutoShards} {
+		for _, shards := range []int{1, 4, -1} {
 			t.Run(fmt.Sprintf("mode%v/shards%d", mode, shards), func(t *testing.T) {
-				off := runEngineArtifacts(t, shards, mode, false, measure)
-				on := runEngineArtifacts(t, shards, mode, true, measure)
+				off := runEngineArtifacts(t, mode, false, measure)
+				on := runEngineArtifacts(t, mode, true, measure)
 				if on.trace != off.trace {
 					t.Error("flit trace diverges with engine telemetry attached")
 				}
@@ -114,7 +119,7 @@ func TestEngineTelemetryPurity(t *testing.T) {
 
 // TestEngineProgressHook checks the global progress hook: installed, it
 // receives at least the final (Close-time) sample with real cycle
-// progress and the run's shard count; cleared, it stops firing.
+// progress and the run's label; cleared, it stops firing.
 func TestEngineProgressHook(t *testing.T) {
 	var mu sync.Mutex
 	var got []EngineProgress
@@ -126,7 +131,6 @@ func TestEngineProgressHook(t *testing.T) {
 	defer SetEngineProgressHook(nil)
 
 	nc := testConfig()
-	nc.Shards = 4
 	net := noc.NewNetwork(nc)
 	c := New(net, Config{Engine: true, EngineInterval: 5 * time.Millisecond, EngineLabel: "hooked"})
 	sim := noc.NewSim(net, &traffic.Uniform{Topo: nc.Topo, InjectionRate: 0.1, PacketSize: 4})
@@ -143,7 +147,7 @@ func TestEngineProgressHook(t *testing.T) {
 		t.Fatal("progress hook never fired")
 	}
 	last := got[len(got)-1]
-	if last.Cycle == 0 || last.Shards != 4 || last.Label != "hooked" {
+	if last.Cycle == 0 || last.Label != "hooked" {
 		t.Fatalf("bad final progress: %+v", last)
 	}
 	if s := last.String(); !strings.Contains(s, "cyc/s") {
@@ -155,12 +159,11 @@ func TestEngineProgressHook(t *testing.T) {
 }
 
 // TestEngineTableAndSeries checks the end-of-run surfaces: the
-// stats.Table summary has one row per shard plus the pool/mailbox/
+// stats.Table summary has one whole-network row plus the cycles and
 // runtime notes, and the JSON series round-trips through
 // ReadEngineSeries with Perfetto counter events derivable from it.
 func TestEngineTableAndSeries(t *testing.T) {
 	nc := testConfig()
-	nc.Shards = 4
 	net := noc.NewNetwork(nc)
 	c := New(net, Config{Engine: true, EngineInterval: 2 * time.Millisecond, EngineLabel: "tbl"})
 	sim := noc.NewSim(net, &traffic.Uniform{Topo: nc.Topo, InjectionRate: 0.15, PacketSize: 4})
@@ -176,11 +179,11 @@ func TestEngineTableAndSeries(t *testing.T) {
 	if tbl.Title != "engine telemetry" {
 		t.Fatalf("table title %q", tbl.Title)
 	}
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("table has %d rows, want 4 shards", len(tbl.Rows))
+	if len(tbl.Rows) != 1 || tbl.Rows[0][0] != fmt.Sprint(nc.Topo.NumNodes()) {
+		t.Fatalf("table rows %v, want one whole-network row", tbl.Rows)
 	}
 	notes := strings.Join(tbl.Notes, "\n")
-	for _, want := range []string{"pool: 4 workers", "mailbox:", "runtime:", "simulated results are unaffected"} {
+	for _, want := range []string{"cycles=", "runtime:", "simulated results are unaffected"} {
 		if !strings.Contains(notes, want) {
 			t.Errorf("table notes missing %q:\n%s", want, notes)
 		}
@@ -194,8 +197,8 @@ func TestEngineTableAndSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if es.Shards != 4 || es.Label != "tbl" || len(es.Windows) == 0 {
-		t.Fatalf("series round-trip lost data: shards=%d label=%q windows=%d", es.Shards, es.Label, len(es.Windows))
+	if es.Label != "tbl" || len(es.Windows) == 0 {
+		t.Fatalf("series round-trip lost data: label=%q windows=%d", es.Label, len(es.Windows))
 	}
 	if es.Snapshot.Cycles == 0 {
 		t.Fatal("series snapshot has no cycles")
@@ -233,10 +236,10 @@ func TestCompactWindows(t *testing.T) {
 	in := make([]EngineWindow, 5)
 	for i := range in {
 		in[i] = EngineWindow{
-			Cycle:       int64(i+1) * 100,
-			Cycles:      10,
-			Rate:        float64(i),
-			ShardBusyNs: []int64{int64(i), int64(i) * 2},
+			Cycle:  int64(i+1) * 100,
+			Cycles: 10,
+			Rate:   float64(i),
+			StepNs: int64(i),
 		}
 	}
 	out := compactWindows(in)
@@ -250,7 +253,7 @@ func TestCompactWindows(t *testing.T) {
 	if cycles != 50 {
 		t.Fatalf("compaction lost cycles: %d != 50", cycles)
 	}
-	if out[0].Cycle != 200 || out[0].ShardBusyNs[0] != 1 {
+	if out[0].Cycle != 200 || out[0].StepNs != 1 {
 		t.Fatalf("first merged window wrong: %+v", out[0])
 	}
 	if out[2].Cycle != 500 {

@@ -54,7 +54,7 @@ type Config struct {
 	// completed flit count.
 	Spans bool
 	// Engine enables engine self-telemetry (engine.go): a wall-clock
-	// ticker sampling per-shard step timings, throughput and Go runtime
+	// ticker sampling step wall time, throughput and Go runtime
 	// stats. Strictly out-of-band — simulated results are bit-identical
 	// with it on or off. EngineInterval overrides the ticker period
 	// (0 = DefaultEngineInterval); EngineLabel tags progress lines and

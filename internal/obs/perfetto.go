@@ -202,13 +202,13 @@ func PerfettoDoc(spans []FlitSpan) TraceDoc {
 const enginePID = 1 << 20
 
 // EngineTrackEvents renders an engine telemetry series as Chrome
-// trace-event counter ("C") tracks on a dedicated engine process:
-// per-shard busy microseconds per simulated cycle and the smoothed
-// cycles/sec, each sampled at the simulated cycle the ticker observed.
-// Because the timestamps are simulated cycles (= microseconds, the same
-// axis PerfettoDoc uses for flit spans), the engine tracks line up
-// under the router tracks of the same run — shard wall-time renders
-// alongside the flit activity that caused it.
+// trace-event counter ("C") tracks on a dedicated engine process: step
+// microseconds per simulated cycle and the smoothed cycles/sec, each
+// sampled at the simulated cycle the ticker observed. Because the
+// timestamps are simulated cycles (= microseconds, the same axis
+// PerfettoDoc uses for flit spans), the engine tracks line up under the
+// router tracks of the same run — step wall-time renders alongside the
+// flit activity that caused it.
 func EngineTrackEvents(es EngineSeries) []TraceEvent {
 	if len(es.Windows) == 0 {
 		return nil
@@ -223,21 +223,14 @@ func EngineTrackEvents(es EngineSeries) []TraceEvent {
 		if w.Cycles <= 0 {
 			continue
 		}
-		busy := map[string]any{}
-		for s, ns := range w.ShardBusyNs {
-			// Busy wall time per simulated cycle, in microseconds: the
-			// per-shard cost of stepping one cycle during this window.
-			busy[fmt.Sprintf("shard%d", s)] = float64(ns) / 1e3 / float64(w.Cycles)
-		}
+		// Step wall time per simulated cycle, in microseconds: the cost
+		// of stepping one cycle during this window.
 		out = append(out,
-			TraceEvent{Name: "shard busy us/cycle", Phase: "C", TS: w.Cycle, PID: enginePID, Args: busy},
+			TraceEvent{Name: "step us/cycle", Phase: "C", TS: w.Cycle, PID: enginePID,
+				Args: map[string]any{"step": float64(w.StepNs) / 1e3 / float64(w.Cycles)}},
 			TraceEvent{Name: "cycles/sec", Phase: "C", TS: w.Cycle, PID: enginePID,
 				Args: map[string]any{"rate": w.Rate}},
 		)
-		if w.Imbalance > 0 {
-			out = append(out, TraceEvent{Name: "shard imbalance", Phase: "C", TS: w.Cycle, PID: enginePID,
-				Args: map[string]any{"ratio": w.Imbalance}})
-		}
 	}
 	return out
 }

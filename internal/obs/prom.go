@@ -128,41 +128,23 @@ var promHelp = map[string]string{
 	"mira_run_cycle":            "Latest sampled simulation cycle of the run.",
 	"mira_runs":                 "Batch runs by state.",
 
-	"mira_engine_cycles_total":      "Simulated cycles stepped by the engine.",
-	"mira_engine_cycles_per_second": "EMA-smoothed engine throughput in simulated cycles per wall second.",
-	"mira_engine_eta_seconds":       "Estimated wall seconds until the measurement window completes (0 = draining or done).",
-	"mira_engine_shard_busy_seconds": "Wall time the shard's worker spent stepping its routers " +
-		"(drain + inject + pipeline stages).",
-	"mira_engine_shard_drain_seconds":   "Wall time the shard spent in the delivery/mailbox-drain phase.",
-	"mira_engine_shard_barrier_seconds": "Wall time the shard spent parked at the cycle barrier waiting for slower shards.",
-	"mira_engine_shard_imbalance_ratio": "Max/mean per-shard busy time; 1.0 is perfectly balanced.",
-	"mira_engine_mailbox_flits_total":   "Flits drained from the (src,dst) boundary mailbox.",
-	"mira_engine_mailbox_credits_total": "Credits drained from the (src,dst) boundary mailbox.",
-	"mira_engine_pool_workers":          "Shard worker pool size (1 = sequential stepping).",
-	"mira_engine_pool_utilization":      "Fraction of pool capacity spent doing shard work (busy / (workers x step wall time)).",
-	"mira_engine_heap_bytes":            "Go heap in use (runtime.MemStats.HeapAlloc).",
-	"mira_engine_goroutines":            "Live goroutines in the simulator process.",
-	"mira_engine_gc_total":              "Completed garbage-collection cycles.",
+	"mira_engine_cycles_total":       "Simulated cycles stepped by the engine.",
+	"mira_engine_cycles_per_second":  "EMA-smoothed engine throughput in simulated cycles per wall second.",
+	"mira_engine_eta_seconds":        "Estimated wall seconds until the measurement window completes (0 = draining or done).",
+	"mira_engine_step_seconds_total": "Wall time spent inside Network.Step.",
+	"mira_engine_heap_bytes":         "Go heap in use (runtime.MemStats.HeapAlloc).",
+	"mira_engine_goroutines":         "Live goroutines in the simulator process.",
+	"mira_engine_gc_total":           "Completed garbage-collection cycles.",
 	"mira_engine_gc_pause_seconds_total": "Cumulative stop-the-world garbage-collection pause " +
 		"time.",
 }
 
-// promCounterFamily marks cumulative families that do not carry the
-// conventional _total suffix (per-shard wall-time totals keep the name
-// the dashboards read naturally).
-var promCounterFamily = map[string]bool{
-	"mira_engine_shard_busy_seconds":    true,
-	"mira_engine_shard_drain_seconds":   true,
-	"mira_engine_shard_barrier_seconds": true,
-}
-
 // promFamilyMeta returns the TYPE and HELP line content for a family:
-// counters are the _total-suffixed families plus the explicit counter
-// set; everything else is a gauge (sampled levels and per-window
-// deltas).
+// counters are the _total-suffixed families; everything else is a
+// gauge (sampled levels and per-window deltas).
 func promFamilyMeta(f string) (typ, help string) {
 	typ = "gauge"
-	if strings.HasSuffix(f, "_total") || promCounterFamily[f] {
+	if strings.HasSuffix(f, "_total") {
 		typ = "counter"
 	}
 	help, ok := promHelp[f]

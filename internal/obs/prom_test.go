@@ -165,12 +165,11 @@ func TestPromExposition(t *testing.T) {
 
 // TestPromEngineExpositionLint is the golden exposition check over the
 // full family set: the existing network/router gauges plus the
-// mira_engine_* families from a sharded engine-telemetry run, rendered
+// mira_engine_* families from an engine-telemetry run, rendered
 // together the way /metrics serves them, must pass the promtool-style
 // lint, and the engine counters must be typed counter.
 func TestPromEngineExpositionLint(t *testing.T) {
 	nc := testConfig()
-	nc.Shards = 4
 	net := noc.NewNetwork(nc)
 	c := New(net, Config{Window: 100, Engine: true, EngineInterval: 5 * time.Millisecond})
 	sim := noc.NewSim(net, &traffic.Uniform{Topo: nc.Topo, InjectionRate: 0.1, PacketSize: 4})
@@ -197,9 +196,7 @@ func TestPromEngineExpositionLint(t *testing.T) {
 	}
 	types := lintPromExposition(t, sb.String())
 	wantCounter := []string{
-		"mira_engine_cycles_total", "mira_engine_shard_busy_seconds",
-		"mira_engine_shard_drain_seconds", "mira_engine_shard_barrier_seconds",
-		"mira_engine_mailbox_flits_total", "mira_engine_mailbox_credits_total",
+		"mira_engine_cycles_total", "mira_engine_step_seconds_total",
 		"mira_engine_gc_total", "mira_engine_gc_pause_seconds_total",
 	}
 	for _, f := range wantCounter {
@@ -209,9 +206,7 @@ func TestPromEngineExpositionLint(t *testing.T) {
 	}
 	wantGauge := []string{
 		"mira_engine_cycles_per_second", "mira_engine_eta_seconds",
-		"mira_engine_shard_imbalance_ratio", "mira_engine_pool_workers",
-		"mira_engine_pool_utilization", "mira_engine_heap_bytes",
-		"mira_engine_goroutines",
+		"mira_engine_heap_bytes", "mira_engine_goroutines",
 	}
 	for _, f := range wantGauge {
 		if types[f] != "gauge" {

@@ -2,10 +2,13 @@ package scenario
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -46,7 +49,10 @@ type BatchResult struct {
 
 // RunBatch executes a set of scenarios on a worker pool and returns one
 // result per scenario, in input order. Invalid scenarios fail
-// individually (their Err is set) without affecting the rest. When ctx
+// individually (their Err is set) without affecting the rest, and so do
+// runs that panic: the panic becomes that run's Err, naming the
+// scenario's content hash, the cycle it reached and a one-line
+// mirasim repro (see panicError). When ctx
 // is canceled the batch stops dispatching, in-flight runs return
 // partial results, all workers exit before RunBatch returns, and
 // never-started entries carry an error saying so.
@@ -80,21 +86,36 @@ func RunBatch(ctx context.Context, scs []Scenario, o BatchOptions) []BatchResult
 		}
 		defer cancel()
 		br := BatchResult{Index: i, Scenario: scs[i]}
-		e, err := scs[i].Elaborate()
-		if err == nil {
-			if o.OnStart != nil {
-				o.OnStart(i, e)
+		var e *Elaboration
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					br.Result = noc.Result{}
+					br.Err = panicError(scs[i], e, p)
+					if e != nil && e.Obs != nil {
+						// Stop the collector's ticker; the panic is
+						// already this run's error.
+						_ = e.Obs.Close()
+					}
+				}
+			}()
+			var err error
+			e, err = scs[i].Elaborate()
+			if err == nil {
+				if o.OnStart != nil {
+					o.OnStart(i, e)
+				}
+				br.Result = e.Sim.Run(runCtx)
+				if e.Obs != nil {
+					// Flush the trailing partial sample window so serving
+					// readers see the run's final state.
+					err = e.Obs.Close()
+				}
 			}
-			br.Result = e.Sim.Run(runCtx)
-			if e.Obs != nil {
-				// Flush the trailing partial sample window so serving
-				// readers see the run's final state.
-				err = e.Obs.Close()
+			if err != nil {
+				br.Err = err.Error()
 			}
-		}
-		if err != nil {
-			br.Err = err.Error()
-		}
+		}()
 		out[i] = br
 		if o.OnDone != nil {
 			o.OnDone(br)
@@ -123,6 +144,25 @@ dispatch:
 	close(idx)
 	wg.Wait()
 	return out
+}
+
+// panicError describes a run that panicked: the scenario's content hash
+// (the first 16 hex digits of the SHA-256 of its JSON form), the cycle
+// its network had reached (or that elaboration had not finished), the
+// panic value, and a shell line that reruns the scenario alone.
+func panicError(sc Scenario, e *Elaboration, p any) string {
+	data, err := json.Marshal(sc)
+	if err != nil {
+		return fmt.Sprintf("scenario panicked: %v (and its JSON encoding failed: %v)", p, err)
+	}
+	sum := sha256.Sum256(data)
+	where := "during elaboration"
+	if e != nil {
+		where = fmt.Sprintf("at cycle %d", e.Net.Cycle())
+	}
+	quoted := "'" + strings.ReplaceAll(string(data), "'", `'\''`) + "'"
+	return fmt.Sprintf("scenario %s panicked %s: %v; repro: echo %s | mirasim -scenario -",
+		hex.EncodeToString(sum[:])[:16], where, p, quoted)
 }
 
 // DecodeBatch reads a batch description: either a JSON array of

@@ -99,7 +99,6 @@ func (s Scenario) NoCConfig() (*core.Design, noc.Config, error) {
 		return nil, noc.Config{}, err
 	}
 	cfg.Mode = mode
-	cfg.Shards = s.Shards
 
 	switch s.Routing {
 	case "xy":

@@ -97,9 +97,9 @@ type Observe struct {
 	// per-hop stage decomposition and the latency attribution tables
 	// behind mirasim -attrib and mirabench obs-stages.
 	Spans bool `json:"spans,omitempty"`
-	// Engine enables engine self-telemetry (obs.EngineCollector):
-	// per-shard wall-time, worker-pool utilization, cycles/sec with ETA
-	// and Go runtime stats, sampled on a wall-clock ticker. Strictly
+	// Engine enables engine self-telemetry (obs.EngineCollector): step
+	// wall-time, cycles/sec with ETA and Go runtime stats, sampled on a
+	// wall-clock ticker. Strictly
 	// out-of-band — simulated results are bit-identical either way.
 	Engine bool `json:"engine,omitempty"`
 	// EngineIntervalMs overrides the engine sampling period in
@@ -138,12 +138,9 @@ type Scenario struct {
 	// also ""), "fullscan" or "checked". All modes simulate
 	// identically; they differ only in host cost.
 	StepMode string `json:"step_mode,omitempty"`
-	// Shards partitions the mesh into contiguous router-ID ranges
-	// stepped concurrently inside each cycle. 0 or 1 steps
-	// sequentially; -1 picks a count from the mesh size and GOMAXPROCS
-	// (noc.AutoShards); results are bit-identical at any value (the
-	// knob trades host cores for wall clock, composing with
-	// per-experiment -workers parallelism).
+	// Shards is deprecated and ignored: the network always steps as
+	// one sequential lane. It is still decoded and validated (>= -1) so
+	// saved scenarios keep loading and keep their content hashes.
 	Shards int `json:"shards,omitempty"`
 
 	// VCs/BufDepth override the input-buffer geometry for design-space
@@ -257,8 +254,8 @@ func (s Scenario) validateCore() error {
 	if _, err := noc.ParseStepMode(s.StepMode); err != nil {
 		return err
 	}
-	if s.Shards < noc.AutoShards {
-		return fmt.Errorf("scenario: shards = %d, need >= -1 (-1 = auto)", s.Shards)
+	if s.Shards < -1 {
+		return fmt.Errorf("scenario: shards = %d, need >= -1 (deprecated, ignored)", s.Shards)
 	}
 	if s.VCs < 0 || s.BufDepth < 0 {
 		return fmt.Errorf("scenario: negative buffer geometry vcs=%d buf_depth=%d", s.VCs, s.BufDepth)
@@ -281,6 +278,10 @@ func (s Scenario) validateCore() error {
 		// Pitch is irrelevant to spec validity; 1 is a placeholder.
 		if err := c.spec(1).Validate(); err != nil {
 			return fmt.Errorf("scenario: %w", err)
+		}
+		if c.ChipsX*c.ChipsY*c.NodesX*c.NodesY < 2 {
+			return fmt.Errorf("scenario: chips %dx%d/%dx%d span a single node; traffic needs at least 2",
+				c.ChipsX, c.ChipsY, c.NodesX, c.NodesY)
 		}
 	}
 	switch s.Routing {

@@ -108,6 +108,14 @@ func TestValidateRejections(t *testing.T) {
 			s.Traffic = Traffic{Kind: "trace", Workload: "tpcw", TraceCycles: 100, Protocol: "dragon"}
 		}), "protocol"},
 		{"replay without file", mod(func(s *Scenario) { s.Traffic = Traffic{Kind: "replay"} }), "trace_file"},
+		{"single-node chip grid", mod(func(s *Scenario) {
+			s.Chips = &Chips{ChipsX: 1, ChipsY: 1, NodesX: 1, NodesY: 1}
+		}), "single node"},
+		{"transpose on non-square chip grid", mod(func(s *Scenario) {
+			s.Traffic = Traffic{Kind: "transpose", Rate: 0.1}
+			s.Chips = &Chips{ChipsX: 3, ChipsY: 1, NodesX: 1, NodesY: 2}
+		}), "square"},
+		{"shards below -1", mod(func(s *Scenario) { s.Shards = -2 }), "shards"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -93,6 +93,20 @@ func validateRate(sc Scenario) error {
 	return nil
 }
 
+// validateTranspose adds transpose's shape rule to validateRate: (x, y)
+// maps to (y, x), so the planar fabric must be square. Every
+// architecture's own floorplan is; a chip grid may not be.
+func validateTranspose(sc Scenario) error {
+	if err := validateRate(sc); err != nil {
+		return err
+	}
+	if c := sc.Chips; c != nil && c.ChipsX*c.NodesX != c.ChipsY*c.NodesY {
+		return fmt.Errorf("scenario: transpose needs a square fabric, chips %dx%d/%dx%d give %dx%d nodes",
+			c.ChipsX, c.ChipsY, c.NodesX, c.NodesY, c.ChipsX*c.NodesX, c.ChipsY*c.NodesY)
+	}
+	return nil
+}
+
 func validateProtocol(p string) (cmp.Protocol, error) {
 	switch p {
 	case "", "mesi":
@@ -154,8 +168,12 @@ func init() {
 		"tornado":    traffic.Tornado,
 	} {
 		kind, dst := kind, dst
+		validate := validateRate
+		if kind == "transpose" {
+			validate = validateTranspose
+		}
 		RegisterTraffic(kind, Builder{
-			Validate: validateRate,
+			Validate: validate,
 			Build: func(sc Scenario, d *core.Design) (Built, error) {
 				gen := &traffic.Permutation{
 					Topo:          d.Topo,

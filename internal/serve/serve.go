@@ -39,7 +39,7 @@ const (
 
 // DefaultStallAfter is the engine-liveness threshold of /healthz: a
 // running run whose last observed cycle advance is older than this is
-// reported stalled (a hung shard barrier keeps the process — and every
+// reported stalled (a hung simulation keeps the process — and every
 // handler — alive while cycles stop; only the engine ticker notices).
 const DefaultStallAfter = 30 * time.Second
 
@@ -146,8 +146,8 @@ func (s *Server) Handler() http.Handler {
 // "stalled" (machine-checkable); detail lines follow. A run counts as
 // stalled when it is running, carries an engine collector, and its last
 // observed cycle advance is older than StallAfter — then the probe
-// answers 503 so an orchestrator can restart a simulation whose shard
-// barrier hung even though the process (and this handler) stays alive.
+// answers 503 so an orchestrator can restart a simulation that hung
+// even though the process (and this handler) stays alive.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	stallAfter := s.StallAfter
 	if stallAfter <= 0 {

@@ -131,7 +131,7 @@ func TestServeEndpoints(t *testing.T) {
 		`mira_net_occ{run="0",arch="2DB"}`,
 		`mira_run_cycle{run="2",arch="3DB"}`,
 		`mira_engine_cycles_total{run="0",arch="2DB"}`,
-		`mira_engine_shard_busy_seconds{run="1",arch="3DM",shard="0"}`,
+		`mira_engine_step_seconds_total{run="1",arch="3DM"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)

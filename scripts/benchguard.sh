@@ -17,12 +17,7 @@ cd "$(dirname "$0")/.."
 WARN_PCT="${BENCHGUARD_WARN_PCT:-15}"
 FAIL_RATIO="${BENCHGUARD_FAIL_RATIO:-2.5}"
 COUNT="${BENCHGUARD_COUNT:-3}"
-# The sub-benchmark pattern after the slash selects only the sharded
-# sweep's 1- and 4-shard points; the guarded baselines were recorded on
-# one hardware thread, so on any multicore runner the sharded cases can
-# only come in at or under baseline (they parallelize), never falsely
-# fail.
-BENCHES='BenchmarkStepLowRate$|BenchmarkStepHighRate$|BenchmarkStepTelemetryOff$|BenchmarkStepChiplet$|BenchmarkStepSharded$/^shards=(1|4)$'
+BENCHES='BenchmarkStepLowRate$|BenchmarkStepHighRate$|BenchmarkStepTelemetryOff$|BenchmarkStepChiplet$|BenchmarkStepHighRateLargeMesh$'
 
 command -v jq >/dev/null || { echo "benchguard: jq not found" >&2; exit 1; }
 
@@ -38,8 +33,7 @@ for spec in \
     'StepHighRate|.soa_router_core.StepHighRate_after_ns' \
     'StepTelemetryOff|.soa_router_core.StepHighRate_after_ns' \
     'StepChiplet|.chiplet_step.StepChiplet_ns' \
-    'StepSharded/shards=1|.sharded_step.shards_1_ns' \
-    'StepSharded/shards=4|.sharded_step.shards_4_ns'; do
+    'StepHighRateLargeMesh|.soa_router_core.StepHighRateLargeMesh_after_ns'; do
     name=${spec%%|*}
     base=$(jq -r "${spec#*|}" BENCH_sweep.json)
     [ "$base" = null ] && { echo "benchguard: no baseline for $name" >&2; exit 1; }
