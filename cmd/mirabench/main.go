@@ -13,8 +13,14 @@
 // tables are bit-identical for any worker count. -shards N is a
 // deprecated no-op kept so existing scripts still run: every simulation
 // steps sequentially, and -workers is the parallelism knob. -progress
-// logs a per-point timing line to stderr; -timing records
-// per-experiment wall-clock times as JSON.
+// logs a per-point timing line to stderr (memo=hit marks a point served
+// from the run memo); -timing records per-experiment wall-clock times
+// and run-memo counts as JSON.
+//
+// Experiments that repeat an earlier experiment's sweep (fig12a/12d
+// repeat fig11a, fig12b repeats fig11b, fig11d/12c repeat fig11c) are
+// served from one run memo per invocation instead of re-simulating;
+// tables are the same either way.
 //
 // -stepmode selects the simulator's cycle-loop strategy (activity,
 // fullscan or checked); all modes produce identical tables, so a stdout
@@ -53,6 +59,7 @@ import (
 	"mira/internal/exp"
 	"mira/internal/noc"
 	"mira/internal/obs"
+	"mira/internal/scenario"
 )
 
 type experiment struct {
@@ -155,6 +162,9 @@ func main() {
 	}
 	opts.Seed = *seed
 	opts.Workers = *workers
+	// One run memo per invocation: experiments that repeat an earlier
+	// experiment's sweep reuse its results instead of re-simulating.
+	opts.Memo = scenario.NewMemo()
 	opts.ObserveWindow = *obsWindow
 	opts.Engine = *engineStats
 	if *engineStats {
@@ -210,8 +220,12 @@ func main() {
 	}
 	if *progress {
 		opts.Progress = func(p exp.Progress) {
-			slog.Info("point", "done", p.Done, "total", p.Total, "label", p.Label,
-				"elapsed", p.Elapsed.Round(time.Millisecond))
+			attrs := []any{"done", p.Done, "total", p.Total, "label", p.Label,
+				"elapsed", p.Elapsed.Round(time.Millisecond)}
+			if p.MemoHit {
+				attrs = append(attrs, "memo", "hit")
+			}
+			slog.Info("point", attrs...)
 		}
 	}
 
@@ -245,9 +259,9 @@ func main() {
 		if *progress {
 			slog.Info("experiment start", "id", e.id)
 		}
-		start := time.Now()
+		start, memo0 := time.Now(), opts.Memo.Stats()
 		tb, err := e.run(ctx, opts)
-		elapsed := time.Since(start)
+		elapsed, memo1 := time.Since(start), opts.Memo.Stats()
 		if ctx.Err() != nil {
 			slog.Error("interrupted", "cmd", "mirabench", "experiment", e.id)
 			os.Exit(130)
@@ -255,7 +269,8 @@ func main() {
 		if err != nil {
 			cli.Fatal("mirabench", fmt.Errorf("%s: %w", e.id, err))
 		}
-		timings = append(timings, expTiming{ID: e.id, Seconds: elapsed.Seconds()})
+		timings = append(timings, expTiming{ID: e.id, Seconds: elapsed.Seconds(),
+			Simulated: memo1.Simulated - memo0.Simulated, MemoHits: memo1.Hits - memo0.Hits})
 		if *csv {
 			fmt.Printf("# %s\n%s\n", tb.ID, tb.CSV())
 		} else {
@@ -277,10 +292,16 @@ func main() {
 	}
 }
 
-// expTiming is one experiment's wall-clock entry in the -timing file.
+// expTiming is one experiment's entry in the -timing file: its
+// wall-clock time and its run-memo use. Simulated counts the memoized
+// runs (exp.RunUR, RunNUCAUR, RunTrace) it simulated, MemoHits those it
+// was served from the memo; simulations outside those runners count in
+// neither.
 type expTiming struct {
-	ID      string  `json:"id"`
-	Seconds float64 `json:"seconds"`
+	ID        string  `json:"id"`
+	Seconds   float64 `json:"seconds"`
+	Simulated int64   `json:"simulated"`
+	MemoHits  int64   `json:"memo_hits"`
 }
 
 // timingReport is the -timing JSON document; it captures enough context

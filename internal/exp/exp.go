@@ -50,6 +50,60 @@ type Options struct {
 	// with ETA (mirabench -enginestats). Like ObserveWindow, strictly
 	// out-of-band — results are bit-identical.
 	Engine bool
+	// Memo, when non-nil, serves RunUR, RunNUCAUR and RunTrace from a
+	// content-addressed run memo, so experiments that repeat a sweep
+	// (fig12a/12d repeat fig11a, fig12b repeats fig11b, fig11d/12c
+	// repeat fig11c) simulate each distinct point once per memo. Tables
+	// are byte-identical either way. mirabench shares one memo per
+	// invocation; nil (the testing.B figure benchmarks) re-simulates
+	// every point.
+	Memo *scenario.Memo
+
+	// tally counts the current sweep point's memo lookups for
+	// Progress.MemoHit; RunAll sets it per point when reporting
+	// progress.
+	tally *memoTally
+}
+
+// memoTally counts one sweep point's Options.Memo lookups. A point runs
+// on one goroutine, so it needs no lock.
+type memoTally struct{ simulated, hits int }
+
+// add counts one lookup; a nil tally counts nothing.
+func (t *memoTally) add(hit bool) {
+	switch {
+	case t == nil:
+	case hit:
+		t.hits++
+	default:
+		t.simulated++
+	}
+}
+
+// served reports whether the memo served every lookup counted, with at
+// least one lookup.
+func (t *memoTally) served() bool {
+	return t != nil && t.hits > 0 && t.simulated == 0
+}
+
+// simulate elaborates and runs sc through o.Memo.
+func (o Options) simulate(ctx context.Context, sc scenario.Scenario) (scenario.Outcome, error) {
+	out, hit, err := o.Memo.Run(ctx, sc)
+	if err == nil {
+		o.tally.add(hit)
+	}
+	return out, err
+}
+
+// mustSimulate is simulate for a driver-authored scenario, which is
+// statically valid, so an error is a programming error (as in
+// mustElaborate).
+func (o Options) mustSimulate(ctx context.Context, sc scenario.Scenario) noc.Result {
+	out, err := o.simulate(ctx, sc)
+	if err != nil {
+		panic(err)
+	}
+	return out.Result
 }
 
 // Default returns the full-size experiment windows.
@@ -176,7 +230,7 @@ func Designs() []*core.Design {
 func RunUR(ctx context.Context, a core.Arch, rate, shortFrac float64, o Options) noc.Result {
 	sc := o.Scenario(a)
 	sc.Traffic = scenario.Traffic{Kind: "ur", Rate: rate, ShortFrac: shortFrac}
-	return mustElaborate(sc).Sim.Run(ctx)
+	return o.mustSimulate(ctx, sc)
 }
 
 // RunNUCAUR simulates the layout-constrained bimodal request/response
@@ -184,7 +238,7 @@ func RunUR(ctx context.Context, a core.Arch, rate, shortFrac float64, o Options)
 func RunNUCAUR(ctx context.Context, a core.Arch, rate, shortFrac float64, o Options) noc.Result {
 	sc := o.Scenario(a)
 	sc.Traffic = scenario.Traffic{Kind: "nuca", Rate: rate, ShortFrac: shortFrac}
-	return mustElaborate(sc).Sim.Run(ctx)
+	return o.mustSimulate(ctx, sc)
 }
 
 // RunTrace generates the workload's CMP coherence trace on the
@@ -192,11 +246,11 @@ func RunNUCAUR(ctx context.Context, a core.Arch, rate, shortFrac float64, o Opti
 func RunTrace(ctx context.Context, a core.Arch, w cmp.Workload, o Options) (noc.Result, cmp.Stats, error) {
 	sc := o.Scenario(a)
 	sc.Traffic = scenario.Traffic{Kind: "trace", Workload: w.Name, TraceCycles: o.TraceCycles}
-	e, err := sc.Elaborate()
+	out, err := o.simulate(ctx, sc)
 	if err != nil {
 		return noc.Result{}, cmp.Stats{}, err
 	}
-	return e.Sim.Run(ctx), e.Stats, nil
+	return out.Result, out.Stats, nil
 }
 
 // NetworkPowerW converts a simulation result into average network power

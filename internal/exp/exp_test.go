@@ -8,6 +8,7 @@ import (
 
 	"mira/internal/cmp"
 	"mira/internal/core"
+	"mira/internal/scenario"
 	"mira/internal/thermal"
 )
 
@@ -390,9 +391,11 @@ func TestExtLeakage(t *testing.T) {
 
 // TestAllExperimentsRun exercises every table builder end to end with
 // tiny windows, checking shape and (where numeric) chartability. This is
-// the same inventory mirabench exposes.
+// the same inventory mirabench exposes. The subtests share one run memo,
+// as mirabench does, so fig12a/12d reuse fig11a's sweep.
 func TestAllExperimentsRun(t *testing.T) {
 	o := tiny()
+	o.Memo = scenario.NewMemo()
 	wrapErr := func(f func(context.Context, Options) Table) func(Options) (Table, error) {
 		return func(o Options) (Table, error) { return f(bg(), o), nil }
 	}

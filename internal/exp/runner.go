@@ -44,6 +44,9 @@ type Progress struct {
 	Index   int // the point's position in the input slice
 	Label   string
 	Elapsed time.Duration
+	// MemoHit is set when Options.Memo served every simulation of the
+	// point, so it simulated nothing itself.
+	MemoHit bool
 }
 
 // SeedFor derives the RNG seed for one sweep point from the experiment
@@ -62,6 +65,16 @@ func (o Options) workerCount() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// pointOptions derives point i's options from the pool's: its own seed
+// and, when progress is reported, its own memo tally.
+func pointOptions(po Options, i int, tally bool) Options {
+	po.Seed = SeedFor(po.Seed, i)
+	if tally {
+		po.tally = &memoTally{}
+	}
+	return po
 }
 
 // RunAll executes the points on a pool of o.Workers goroutines
@@ -100,11 +113,11 @@ func RunAll[T any](ctx context.Context, o Options, points []Point[T]) []T {
 				break
 			}
 			start := time.Now()
-			opts := po
-			opts.Seed = SeedFor(o.Seed, i)
+			opts := pointOptions(po, i, progress != nil)
 			out[i] = p.Run(ctx, opts)
 			if progress != nil {
-				progress(Progress{Done: i + 1, Total: total, Index: i, Label: p.Label, Elapsed: time.Since(start)})
+				progress(Progress{Done: i + 1, Total: total, Index: i, Label: p.Label,
+					Elapsed: time.Since(start), MemoHit: opts.tally.served()})
 			}
 		}
 		return out
@@ -120,14 +133,14 @@ func RunAll[T any](ctx context.Context, o Options, points []Point[T]) []T {
 			defer wg.Done()
 			for i := range idx {
 				start := time.Now()
-				opts := po
-				opts.Seed = SeedFor(o.Seed, i)
+				opts := pointOptions(po, i, progress != nil)
 				out[i] = points[i].Run(ctx, opts)
 				if progress != nil {
 					elapsed := time.Since(start)
 					mu.Lock()
 					done++
-					progress(Progress{Done: done, Total: total, Index: i, Label: points[i].Label, Elapsed: elapsed})
+					progress(Progress{Done: done, Total: total, Index: i, Label: points[i].Label,
+						Elapsed: elapsed, MemoHit: opts.tally.served()})
 					mu.Unlock()
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"mira/internal/stats"
 )
@@ -93,6 +94,15 @@ type Result struct {
 // LatencyHistogram returns the measured packet-latency histogram (unit
 // bins in cycles), or nil for a zero Result.
 func (r *Result) LatencyHistogram() *stats.Histogram { return r.latHist }
+
+// Clone returns a copy of r that shares no memory with it: PerRouter and
+// the latency histogram are copied. A memoized result handed to several
+// callers is cloned so that none of them can alter another's.
+func (r Result) Clone() Result {
+	r.PerRouter = slices.Clone(r.PerRouter)
+	r.latHist = r.latHist.Clone()
+	return r
+}
 
 func (r *Result) String() string {
 	s := fmt.Sprintf("lat=%.2f p99=%d hops=%.2f thr=%.4f sat=%v (%d/%d pkts)",

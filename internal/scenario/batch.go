@@ -25,14 +25,17 @@ type BatchOptions struct {
 	Timeout time.Duration `json:"timeout,omitempty"`
 
 	// OnStart, when non-nil, is called from the worker goroutine right
-	// after scenario i elaborates and before its simulation starts. The
-	// serving layer (internal/serve) uses it to publish the run's live
-	// observability collector. Hooks must be safe for concurrent calls
-	// from multiple workers.
+	// after scenario i elaborates and before its simulation starts, once
+	// per simulation that actually runs: a repeat served from the
+	// batch's run memo (see RunBatch) has no OnStart. The serving layer
+	// (internal/serve) uses it to publish the run's live observability
+	// collector. Hooks must be safe for concurrent calls from multiple
+	// workers.
 	OnStart func(i int, e *Elaboration) `json:"-"`
 	// OnDone, when non-nil, is called from the worker goroutine as soon
-	// as run i finishes (successfully or not), before the batch as a
-	// whole completes.
+	// as entry i has its result (successfully or not), before the batch
+	// as a whole completes. It fires exactly once per index, repeats
+	// included, so a repeat's OnDone has no OnStart before it.
 	OnDone func(r BatchResult) `json:"-"`
 }
 
@@ -48,7 +51,12 @@ type BatchResult struct {
 }
 
 // RunBatch executes a set of scenarios on a worker pool and returns one
-// result per scenario, in input order. Invalid scenarios fail
+// result per scenario, in input order. The batch's runs share a private
+// run memo (see Memo): a repeat of a scenario whose run has finished is
+// not simulated again but gets that run's result under its own Index
+// and Scenario. Repeats that start while the first run is still going,
+// and repeats of a run that failed, panicked or was canceled, run
+// themselves. Invalid scenarios fail
 // individually (their Err is set) without affecting the rest, and so do
 // runs that panic: the panic becomes that run's Err, naming the
 // scenario's content hash, the cycle it reached and a one-line
@@ -78,15 +86,34 @@ func RunBatch(ctx context.Context, scs []Scenario, o BatchOptions) []BatchResult
 		workers = len(scs)
 	}
 
+	memo := NewMemo()
+
 	runOne := func(i int) {
-		runCtx := ctx
-		cancel := context.CancelFunc(func() {})
-		if o.Timeout > 0 {
-			runCtx, cancel = context.WithTimeout(ctx, o.Timeout)
-		}
-		defer cancel()
 		br := BatchResult{Index: i, Scenario: scs[i]}
 		var e *Elaboration
+		simulate := func() (Outcome, error) {
+			runCtx := ctx
+			cancel := context.CancelFunc(func() {})
+			if o.Timeout > 0 {
+				runCtx, cancel = context.WithTimeout(ctx, o.Timeout)
+			}
+			defer cancel()
+			var err error
+			e, err = scs[i].Elaborate()
+			if err != nil {
+				return Outcome{}, err
+			}
+			if o.OnStart != nil {
+				o.OnStart(i, e)
+			}
+			res := e.Sim.Run(runCtx)
+			if e.Obs != nil {
+				// Flush the trailing partial sample window so serving
+				// readers see the run's final state.
+				err = e.Obs.Close()
+			}
+			return Outcome{Result: res}, err
+		}
 		func() {
 			defer func() {
 				if p := recover(); p != nil {
@@ -99,19 +126,8 @@ func RunBatch(ctx context.Context, scs []Scenario, o BatchOptions) []BatchResult
 					}
 				}
 			}()
-			var err error
-			e, err = scs[i].Elaborate()
-			if err == nil {
-				if o.OnStart != nil {
-					o.OnStart(i, e)
-				}
-				br.Result = e.Sim.Run(runCtx)
-				if e.Obs != nil {
-					// Flush the trailing partial sample window so serving
-					// readers see the run's final state.
-					err = e.Obs.Close()
-				}
-			}
+			oc, _, err := memo.do(scs[i], simulate)
+			br.Result = oc.Result
 			if err != nil {
 				br.Err = err.Error()
 			}

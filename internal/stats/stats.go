@@ -15,6 +15,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -137,6 +138,16 @@ type Histogram struct {
 // NewHistogram returns a histogram with the given number of unit bins.
 func NewHistogram(bins int) *Histogram {
 	return &Histogram{bins: make([]int64, bins)}
+}
+
+// Clone returns an independent copy of h, or nil for a nil h.
+func (h *Histogram) Clone() *Histogram {
+	if h == nil {
+		return nil
+	}
+	c := *h
+	c.bins = slices.Clone(h.bins)
+	return &c
 }
 
 // Add records one observation.
