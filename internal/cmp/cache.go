@@ -157,7 +157,13 @@ type dirEntry struct {
 // maintains its own local directory").
 type Directory struct {
 	lines map[uint32]*dirEntry
+	// slab is the unused tail of the current entry chunk; a full
+	// chunk is replaced, never grown, so entry pointers stay valid.
+	slab []dirEntry
 }
+
+// dirSlabChunk is how many directory entries one slab chunk holds.
+const dirSlabChunk = 256
 
 // NewDirectory returns an empty directory.
 func NewDirectory() *Directory {
@@ -169,21 +175,15 @@ func NewDirectory() *Directory {
 func (d *Directory) Entry(addr uint32) *dirEntry {
 	e, ok := d.lines[addr]
 	if !ok {
-		e = &dirEntry{owner: -1}
+		if len(d.slab) == 0 {
+			d.slab = make([]dirEntry, dirSlabChunk)
+		}
+		e = &d.slab[0]
+		d.slab = d.slab[1:]
+		e.owner = -1
 		d.lines[addr] = e
 	}
 	return e
-}
-
-// Sharers returns the CPU indices currently sharing the line.
-func (e *dirEntry) Sharers() []int {
-	var out []int
-	for i := 0; i < 16; i++ {
-		if e.sharers&(1<<i) != 0 {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 func (e *dirEntry) addSharer(cpu int)   { e.sharers |= 1 << cpu }

@@ -2,9 +2,9 @@ package cmp
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
-	"mira/internal/core"
 	"mira/internal/noc"
 	"mira/internal/stats"
 	"mira/internal/topology"
@@ -62,6 +62,8 @@ type ClosedSystem struct {
 	seqPtr      []uint32
 	recent      []reuseWindow
 	wordCounts  [traffic.NumPatterns]int64
+	line        [flitsPerLine][wordsPerFlit]uint32 // payload scratch
+	layers      layerArena
 	// bankFreeAt serializes each L2 bank: one access per BankLat window
 	// (a contended home bank queues requests, §4.1.2's bank model).
 	bankFreeAt map[topology.NodeID]int64
@@ -128,17 +130,12 @@ func (s *ClosedSystem) send(m protoMsg, src, dst topology.NodeID) {
 		s.dispatch(m, dst)
 		return
 	}
-	size := ControlFlits
-	class := noc.Control
-	var layers []uint8
+	spec := noc.Spec{Src: src, Dst: dst, Size: ControlFlits, Class: noc.Control, LayersPerFlit: controlLayers}
 	if m.kind.IsData() {
-		size = DataFlits
-		class = noc.Data
-		layers = core.PacketLayers(dataPayload(s.p.Workload.Patterns, s.rng, &s.wordCounts))
-	} else {
-		layers = []uint8{1} // address/coherence flits are short (§3.2.1)
+		spec.Size, spec.Class, spec.LayersPerFlit = DataFlits, noc.Data, s.layers.alloc(flitsPerLine)
+		drawLine(s.p.Workload.Patterns, s.rng, &s.wordCounts, &s.line, spec.LayersPerFlit)
 	}
-	pkt, err := s.net.Enqueue(noc.Spec{Src: src, Dst: dst, Size: size, Class: class, LayersPerFlit: layers})
+	pkt, err := s.net.Enqueue(spec)
 	if err != nil {
 		panic(fmt.Sprintf("cmp: closed-loop enqueue: %v", err))
 	}
@@ -244,7 +241,8 @@ func (s *ClosedSystem) bankGetX(m protoMsg, bank topology.NodeID) {
 		s.send(protoMsg{kind: KindFwd, addr: m.addr, cpu: m.cpu, forWrite: true}, bank, s.cpuNodes[owner])
 		return
 	}
-	for _, sh := range e.Sharers() {
+	for mask := e.sharers; mask != 0; mask &= mask - 1 {
+		sh := bits.TrailingZeros16(mask)
 		if sh == m.cpu {
 			continue
 		}
@@ -449,5 +447,5 @@ func (s *ClosedSystem) Stats() *ClosedStats { return &s.stats }
 // Packet sizes of the coherence messages, in flits.
 const (
 	ControlFlits = 1
-	DataFlits    = 4
+	DataFlits    = flitsPerLine
 )

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mira/internal/core"
 	"mira/internal/noc"
 	"mira/internal/routing"
 	"mira/internal/topology"
@@ -76,13 +77,12 @@ func TestDirectorySharers(t *testing.T) {
 	}
 	e.addSharer(0)
 	e.addSharer(3)
-	got := e.Sharers()
-	if len(got) != 2 || got[0] != 0 || got[1] != 3 {
-		t.Errorf("Sharers = %v, want [0 3]", got)
+	if e.sharers != 1<<0|1<<3 {
+		t.Errorf("sharers = %b, want CPUs 0 and 3", e.sharers)
 	}
 	e.clearSharer(0)
-	if len(e.Sharers()) != 1 {
-		t.Errorf("clearSharer failed")
+	if e.sharers != 1<<3 {
+		t.Errorf("clearSharer failed: %b", e.sharers)
 	}
 	e.clearAll()
 	if e.sharers != 0 || e.owner != -1 {
@@ -91,33 +91,46 @@ func TestDirectorySharers(t *testing.T) {
 	if d.Entry(5) != e {
 		t.Errorf("Entry not stable")
 	}
+	// Entries stay put while later lines fill further slab chunks.
+	for a := uint32(100); a < 100+3*dirSlabChunk; a++ {
+		d.Entry(a).addSharer(int(a % 16))
+	}
+	if d.Entry(5) != e || e.sharers != 0 || e.owner != -1 {
+		t.Errorf("entry moved or changed after slab refills: %+v", e)
+	}
+	for a := uint32(100); a < 100+3*dirSlabChunk; a++ {
+		if got := d.Entry(a); got.sharers != 1<<(a%16) || got.owner != -1 {
+			t.Fatalf("entry %d = %+v", a, got)
+		}
+	}
 }
 
 func TestControlPayloadIsShort(t *testing.T) {
-	p := controlPayload(0xdeadbeef)
-	if len(p) != 1 {
-		t.Fatalf("control payload flits = %d, want 1", len(p))
-	}
-	if p[0][0] != 0xdeadbeef {
-		t.Errorf("address word wrong")
-	}
-	for _, w := range p[0][1:] {
-		if w != 0 {
-			t.Errorf("upper control words must be zero: %x", p[0])
+	// An address flit carries the line address in the top-layer word
+	// and zeros above, so controlLayers' single 1 holds for any line.
+	for _, addr := range []uint32{0, 1, 0xdeadbeef, ^uint32(0)} {
+		if n := core.ActiveLayers([]uint32{addr, 0, 0, 0}); n != 1 {
+			t.Errorf("address flit %#x needs %d layers, want 1", addr, n)
 		}
+	}
+	if len(controlLayers) != ControlFlits || controlLayers[0] != 1 {
+		t.Errorf("controlLayers = %v, want [1]", controlLayers)
 	}
 }
 
 func TestDataPayloadShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var counts [traffic.NumPatterns]int64
-	p := dataPayload(traffic.PatternProfile{Zero: 0.5}, rng, &counts)
-	if len(p) != flitsPerLine {
-		t.Fatalf("flits = %d, want %d", len(p), flitsPerLine)
+	var line [flitsPerLine][wordsPerFlit]uint32
+	var arena layerArena
+	layers := arena.alloc(flitsPerLine)
+	drawLine(traffic.PatternProfile{Zero: 0.5}, rng, &counts, &line, layers)
+	if len(layers) != flitsPerLine || cap(layers) != flitsPerLine {
+		t.Fatalf("layers len %d cap %d, want %d", len(layers), cap(layers), flitsPerLine)
 	}
-	for _, f := range p {
-		if len(f) != wordsPerFlit {
-			t.Fatalf("words = %d, want %d", len(f), wordsPerFlit)
+	for f := range line {
+		if want := core.ActiveLayers(line[f][:]); layers[f] != want {
+			t.Errorf("flit %d: layers %d, want %d for %x", f, layers[f], want, line[f])
 		}
 	}
 	var total int64
@@ -126,6 +139,14 @@ func TestDataPayloadShape(t *testing.T) {
 	}
 	if total != flitsPerLine*wordsPerFlit {
 		t.Errorf("counted %d words, want %d", total, flitsPerLine*wordsPerFlit)
+	}
+	// The next packet's slice follows in the same chunk, and appending
+	// to this one cannot overwrite it.
+	next := arena.alloc(flitsPerLine)
+	next[0] = 9
+	_ = append(layers, 7)
+	if next[0] != 9 {
+		t.Errorf("append to one packet's layers overwrote the next packet's")
 	}
 }
 
@@ -449,14 +470,73 @@ func TestOutstandingLimit(t *testing.T) {
 func TestNewSystemValidation(t *testing.T) {
 	plain := topology.NewMesh2D(6, 6, 3.1) // no CPU layout
 	w, _ := ByName("tpcw")
-	if _, err := NewSystem(DefaultParams(w, plain, 1)); err == nil {
-		t.Errorf("topology without CPUs should be rejected")
-	}
 	topo := nucaTopo(t)
-	bad := DefaultParams(w, topo, 1)
-	bad.MaxOutstanding = 0
-	if _, err := NewSystem(bad); err == nil {
-		t.Errorf("zero MSHRs should be rejected")
+	cases := []struct {
+		name string
+		edit func(*Params)
+	}{
+		{"topology without CPUs", func(p *Params) { p.Topo = plain }},
+		{"zero MSHRs", func(p *Params) { p.MaxOutstanding = 0 }},
+		{"negative ReqNetLat", func(p *Params) { p.ReqNetLat = -1 }},
+		{"negative BankLat", func(p *Params) { p.BankLat = -4 }},
+		{"negative MemLat", func(p *Params) { p.MemLat = -400 }},
+		{"emission window too wide", func(p *Params) { p.MemLat = maxWindow }},
+	}
+	for _, c := range cases {
+		p := DefaultParams(w, topo, 1)
+		c.edit(&p)
+		if _, err := NewSystem(p); err == nil {
+			t.Errorf("%s: NewSystem accepted it", c.name)
+		}
+	}
+}
+
+func TestLongMemoryLatencyTraceSorted(t *testing.T) {
+	// A 5000-cycle DRAM latency puts responses far past the run's end;
+	// they must still come out in time order, after every earlier
+	// message. Only memory responses land past the last cycle plus
+	// 2*ReqNetLat+BankLat.
+	w, _ := ByName("ocean")
+	p := DefaultParams(w, nucaTopo(t), 4)
+	p.MemLat = 5000
+	sys, err := NewSystem(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cycles = 2000
+	tr, _ := sys.Run(cycles)
+	late := 0
+	for i, e := range tr.Events {
+		if i > 0 && e.Cycle < tr.Events[i-1].Cycle {
+			t.Fatalf("event %d at cycle %d follows cycle %d", i, e.Cycle, tr.Events[i-1].Cycle)
+		}
+		if e.Cycle >= cycles+2*p.ReqNetLat+p.BankLat {
+			late++
+		}
+	}
+	if late == 0 {
+		t.Errorf("no memory response landed past cycle %d", cycles+2*p.ReqNetLat+p.BankLat)
+	}
+}
+
+func TestEmitOutsideWindowPanics(t *testing.T) {
+	w, _ := ByName("tpcw")
+	topo := nucaTopo(t)
+	cpu, bank := topo.CPUs()[0], topo.Caches()[0]
+	sys, err := NewSystem(DefaultParams(w, topo, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.now = 100
+	for _, at := range []int64{sys.now - 1, sys.now + sys.window + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("emit at cycle %d from cycle %d (window %d) did not panic", at, sys.now, sys.window)
+				}
+			}()
+			sys.emit(at, KindGetS, cpu, bank)
+		}()
 	}
 }
 

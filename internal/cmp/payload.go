@@ -3,6 +3,7 @@ package cmp
 import (
 	"math/rand"
 
+	"mira/internal/core"
 	"mira/internal/traffic"
 )
 
@@ -49,25 +50,42 @@ func sampleWord(p traffic.PatternProfile, rng *rand.Rand) (uint32, traffic.WordP
 	}
 }
 
-// dataPayload synthesizes a cache line as flit-major words, counting
-// word patterns into counts.
-func dataPayload(p traffic.PatternProfile, rng *rand.Rand, counts *[traffic.NumPatterns]int64) [][]uint32 {
-	flits := make([][]uint32, flitsPerLine)
-	for f := range flits {
-		words := make([]uint32, wordsPerFlit)
-		for w := range words {
+// drawLine synthesizes one cache line into line, counting word
+// patterns into counts, and writes each flit's active layer count
+// (core.ActiveLayers) into layers, which must hold flitsPerLine entries.
+func drawLine(p traffic.PatternProfile, rng *rand.Rand, counts *[traffic.NumPatterns]int64,
+	line *[flitsPerLine][wordsPerFlit]uint32, layers []uint8) {
+	for f := range line {
+		for w := range line[f] {
 			v, pat := sampleWord(p, rng)
-			words[w] = v
+			line[f][w] = v
 			counts[pat]++
 		}
-		flits[f] = words
+		layers[f] = core.ActiveLayers(line[f][:])
 	}
-	return flits
 }
 
-// controlPayload synthesizes an address/coherence flit: the 32-bit line
-// address in the top-layer word, zeros above. Such flits always qualify
-// as short.
-func controlPayload(addr uint32) [][]uint32 {
-	return [][]uint32{{addr, 0, 0, 0}}
+// controlLayers is the layer vector of every address/coherence packet:
+// its one flit holds the 32-bit line address in the top-layer word and
+// zeros above, so it is always short. Packets share it read-only.
+var controlLayers = []uint8{1}
+
+// layerArenaChunk is how many per-flit layer counts one arena chunk
+// holds.
+const layerArenaChunk = 4096
+
+// layerArena hands out per-packet layer slices carved from shared
+// chunks, so a trace's layer vectors cost one allocation per chunk
+// rather than one per packet. Each slice is capped at its own length,
+// so appending to it reallocates instead of overwriting a neighbour.
+type layerArena struct{ free []uint8 }
+
+// alloc returns a zeroed n-entry slice owned by the caller.
+func (a *layerArena) alloc(n int) []uint8 {
+	if len(a.free) < n {
+		a.free = make([]uint8, max(n, layerArenaChunk))
+	}
+	out := a.free[:n:n]
+	a.free = a.free[n:]
+	return out
 }

@@ -2,9 +2,10 @@ package cmp
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 
-	"mira/internal/core"
 	"mira/internal/noc"
 	"mira/internal/topology"
 	"mira/internal/traffic"
@@ -127,9 +128,26 @@ type System struct {
 	stats     Stats
 
 	outstanding [][]int64 // per-CPU completion times
+	nextRetire  []int64   // per-CPU earliest completion time in outstanding
 	seqPtr      []uint32  // per-CPU sequential stream position
 	recent      []reuseWindow
+
+	// Emission window (DESIGN.md §1, "Trace emission order"): every
+	// message issued during cycle now lands in [now, now+window].
+	// pending is a power-of-two ring of per-cycle buckets; Run moves
+	// bucket now into the trace once cycle now ends, so the trace
+	// comes out time-ordered.
+	now     int64
+	window  int64
+	pending [][]traffic.Event
+
+	line   [flitsPerLine][wordsPerFlit]uint32 // payload scratch
+	layers layerArena
 }
+
+// maxWindow bounds the emission window 2·ReqNetLat + BankLat + MemLat,
+// and with it the bucket ring NewSystem allocates.
+const maxWindow = 1 << 16
 
 // NewSystem validates the parameters and builds a system.
 func NewSystem(p Params) (*System, error) {
@@ -146,6 +164,18 @@ func NewSystem(p Params) (*System, error) {
 	if p.MaxOutstanding < 1 {
 		return nil, fmt.Errorf("cmp: MaxOutstanding = %d", p.MaxOutstanding)
 	}
+	for _, l := range []struct {
+		name string
+		v    int64
+	}{{"ReqNetLat", p.ReqNetLat}, {"BankLat", p.BankLat}, {"MemLat", p.MemLat}} {
+		if l.v < 0 || l.v > maxWindow {
+			return nil, fmt.Errorf("cmp: %s = %d, need 0..%d", l.name, l.v, maxWindow)
+		}
+	}
+	window := 2*p.ReqNetLat + p.BankLat + p.MemLat
+	if window > maxWindow {
+		return nil, fmt.Errorf("cmp: emission window 2*ReqNetLat+BankLat+MemLat = %d cycles exceeds %d", window, maxWindow)
+	}
 	s := &System{
 		p:           p,
 		rng:         rand.New(rand.NewSource(p.Seed)),
@@ -154,8 +184,11 @@ func NewSystem(p Params) (*System, error) {
 		dirs:        make(map[topology.NodeID]*Directory, len(banks)),
 		trace:       &traffic.Trace{Name: p.Workload.Name},
 		outstanding: make([][]int64, len(cpus)),
+		nextRetire:  make([]int64, len(cpus)),
 		seqPtr:      make([]uint32, len(cpus)),
 		recent:      make([]reuseWindow, len(cpus)),
+		window:      window,
+		pending:     make([][]traffic.Event, 1<<bits.Len64(uint64(window))),
 	}
 	for i := 0; i < len(cpus); i++ {
 		s.l1s = append(s.l1s, &L1{})
@@ -203,21 +236,27 @@ func (s *System) genAddr(cpu int) uint32 {
 	return addr
 }
 
-// emit records one message in the trace.
-func (s *System) emit(cycle int64, kind MsgKind, src, dst topology.NodeID, payload [][]uint32) {
+// emit records one message in its cycle's bucket. A data message
+// draws its cache line before the bank-local check, so it consumes the
+// same RNG draws whether or not it crosses the network; a control
+// message carries one short address flit.
+func (s *System) emit(cycle int64, kind MsgKind, src, dst topology.NodeID) {
+	e := traffic.Event{Cycle: cycle, Src: src, Dst: dst, Size: ControlFlits, Class: noc.Control, Layers: controlLayers}
+	if kind.IsData() {
+		e.Size, e.Class, e.Layers = DataFlits, noc.Data, s.layers.alloc(flitsPerLine)
+		drawLine(s.p.Workload.Patterns, s.rng, &s.stats.WordCounts, &s.line, e.Layers)
+	}
 	if src == dst {
 		return // bank-local access, no network message
 	}
-	layers := core.PacketLayers(payload)
-	class := noc.Control
-	if kind.IsData() {
-		class = noc.Data
+	if cycle < s.now || cycle > s.now+s.window {
+		panic(fmt.Sprintf("cmp: %v message at cycle %d outside the emission window [%d, %d]",
+			kind, cycle, s.now, s.now+s.window))
 	}
-	s.trace.Events = append(s.trace.Events, traffic.Event{
-		Cycle: cycle, Src: src, Dst: dst, Size: len(payload), Class: class, Layers: layers,
-	})
+	b := &s.pending[cycle&int64(len(s.pending)-1)]
+	*b = append(*b, e)
 	s.stats.KindCounts[kind]++
-	for _, l := range layers {
+	for _, l := range e.Layers {
 		s.stats.TotalFlits++
 		if l == 1 {
 			s.stats.ShortFlits++
@@ -225,20 +264,12 @@ func (s *System) emit(cycle int64, kind MsgKind, src, dst topology.NodeID, paylo
 	}
 }
 
-func (s *System) emitData(cycle int64, kind MsgKind, src, dst topology.NodeID) {
-	s.emit(cycle, kind, src, dst, dataPayload(s.p.Workload.Patterns, s.rng, &s.stats.WordCounts))
-}
-
-func (s *System) emitCtrl(cycle int64, kind MsgKind, src, dst topology.NodeID, addr uint32) {
-	s.emit(cycle, kind, src, dst, controlPayload(addr))
-}
-
 // read handles an L1 load miss: GetS to the home bank, then either a
 // bank response or a cache-to-cache forward from the modified owner.
 func (s *System) read(cycle int64, cpu int, addr uint32) int64 {
 	cpuNode := s.cpuNodes[cpu]
 	bank := s.bankOf(addr)
-	s.emitCtrl(cycle, KindGetS, cpuNode, bank, addr)
+	s.emit(cycle, KindGetS, cpuNode, bank)
 	t := cycle + s.p.ReqNetLat
 	e := s.dirs[bank].Entry(addr)
 
@@ -249,24 +280,24 @@ func (s *System) read(cycle int64, cpu int, addr uint32) int64 {
 		// back immediately; under MOESI it keeps ownership in the
 		// Owned state and the write-back waits for its eviction.
 		ownerNode := s.cpuNodes[e.owner]
-		s.emitCtrl(t, KindFwd, bank, ownerNode, addr)
+		s.emit(t, KindFwd, bank, ownerNode)
 		if s.p.Protocol == MOESI {
 			s.l1s[e.owner].SetState(addr, Owned)
 			e.addSharer(int(e.owner))
 		} else {
 			s.l1s[e.owner].SetState(addr, Shared)
-			s.emitData(t+s.p.ReqNetLat, KindWriteBack, ownerNode, bank)
+			s.emit(t+s.p.ReqNetLat, KindWriteBack, ownerNode, bank)
 			e.addSharer(int(e.owner))
 			e.owner = -1
 		}
-		s.emitData(t+s.p.ReqNetLat, KindData, ownerNode, cpuNode)
+		s.emit(t+s.p.ReqNetLat, KindData, ownerNode, cpuNode)
 		respAt = t + 2*s.p.ReqNetLat
 	} else {
 		lat := s.p.BankLat
 		if s.rng.Float64() < s.p.Workload.L2MissFrac {
 			lat += s.p.MemLat
 		}
-		s.emitData(t+lat, KindData, bank, cpuNode)
+		s.emit(t+lat, KindData, bank, cpuNode)
 		respAt = t + lat + s.p.ReqNetLat
 	}
 
@@ -293,37 +324,38 @@ func (s *System) write(cycle int64, cpu int, addr uint32, st LineState) int64 {
 		kind = KindUpgrade
 		s.stats.Upgrades++
 	}
-	s.emitCtrl(cycle, kind, cpuNode, bank, addr)
+	s.emit(cycle, kind, cpuNode, bank)
 
 	var respAt int64
 	if e.owner >= 0 && int(e.owner) != cpu {
 		// Dirty elsewhere: forward; ownership transfers cache-to-cache.
 		ownerNode := s.cpuNodes[e.owner]
-		s.emitCtrl(t, KindFwd, bank, ownerNode, addr)
+		s.emit(t, KindFwd, bank, ownerNode)
 		s.l1s[e.owner].SetState(addr, Invalid)
-		s.emitData(t+s.p.ReqNetLat, KindData, ownerNode, cpuNode)
+		s.emit(t+s.p.ReqNetLat, KindData, ownerNode, cpuNode)
 		respAt = t + 2*s.p.ReqNetLat
 	} else {
 		// Invalidate all other sharers; they ack to the requester.
-		for _, sh := range e.Sharers() {
+		for m := e.sharers; m != 0; m &= m - 1 {
+			sh := bits.TrailingZeros16(m)
 			if sh == cpu {
 				continue
 			}
 			shNode := s.cpuNodes[sh]
-			s.emitCtrl(t, KindInv, bank, shNode, addr)
+			s.emit(t, KindInv, bank, shNode)
 			s.l1s[sh].SetState(addr, Invalid)
-			s.emitCtrl(t+s.p.ReqNetLat, KindAck, shNode, cpuNode, addr)
+			s.emit(t+s.p.ReqNetLat, KindAck, shNode, cpuNode)
 		}
 		if st == Shared || st == Owned {
 			// Upgrade: data already present, the bank grants ownership.
-			s.emitCtrl(t+s.p.BankLat, KindAck, bank, cpuNode, addr)
+			s.emit(t+s.p.BankLat, KindAck, bank, cpuNode)
 			respAt = t + s.p.BankLat + s.p.ReqNetLat
 		} else {
 			lat := s.p.BankLat
 			if s.rng.Float64() < s.p.Workload.L2MissFrac {
 				lat += s.p.MemLat
 			}
-			s.emitData(t+lat, KindData, bank, cpuNode)
+			s.emit(t+lat, KindData, bank, cpuNode)
 			respAt = t + lat + s.p.ReqNetLat
 		}
 	}
@@ -354,25 +386,33 @@ func (s *System) fill(cycle int64, cpu int, addr uint32, st LineState) {
 		ve.owner = -1
 	}
 	if vState.Dirty() {
-		s.emitData(cycle, KindWriteBack, s.cpuNodes[cpu], vBank)
+		s.emit(cycle, KindWriteBack, s.cpuNodes[cpu], vBank)
 	}
 }
 
 // Run executes the CPUs for the given number of cycles and returns the
-// recorded trace (time-sorted) plus statistics.
+// recorded trace (time-ordered; equal cycles in generation order) plus
+// statistics. The trace includes the responses still in flight when
+// the last cycle ends.
 func (s *System) Run(cycles int64) (*traffic.Trace, Stats) {
 	w := &s.p.Workload
 	for cycle := int64(0); cycle < cycles; cycle++ {
+		s.now = cycle
 		for cpu := range s.l1s {
-			// Retire completed misses.
-			out := s.outstanding[cpu][:0]
-			for _, t := range s.outstanding[cpu] {
-				if t > cycle {
-					out = append(out, t)
+			// Retire completed misses once the earliest is due.
+			if cycle >= s.nextRetire[cpu] {
+				out := s.outstanding[cpu][:0]
+				next := int64(math.MaxInt64)
+				for _, t := range s.outstanding[cpu] {
+					if t > cycle {
+						out = append(out, t)
+						next = min(next, t)
+					}
 				}
+				s.outstanding[cpu] = out
+				s.nextRetire[cpu] = next
 			}
-			s.outstanding[cpu] = out
-			if len(out) >= s.p.MaxOutstanding {
+			if len(s.outstanding[cpu]) >= s.p.MaxOutstanding {
 				continue
 			}
 			if s.rng.Float64() >= w.Intensity {
@@ -391,15 +431,32 @@ func (s *System) Run(cycles int64) (*traffic.Trace, Stats) {
 				s.l1s[cpu].SetState(addr, Modified)
 			case isRead:
 				s.stats.L1Misses++
-				s.outstanding[cpu] = append(s.outstanding[cpu], s.read(cycle, cpu, addr))
+				s.track(cpu, s.read(cycle, cpu, addr))
 			default:
 				s.stats.L1Misses++
-				s.outstanding[cpu] = append(s.outstanding[cpu], s.write(cycle, cpu, addr, st))
+				s.track(cpu, s.write(cycle, cpu, addr, st))
 			}
 		}
+		s.flush(cycle)
 	}
-	s.trace.Sort()
+	for c := cycles; c < cycles+s.window; c++ {
+		s.flush(c)
+	}
 	return s.trace, s.stats
+}
+
+// track records an outstanding miss that completes at cycle done.
+func (s *System) track(cpu int, done int64) {
+	s.outstanding[cpu] = append(s.outstanding[cpu], done)
+	s.nextRetire[cpu] = min(s.nextRetire[cpu], done)
+}
+
+// flush appends cycle's bucket to the trace and empties it for reuse
+// by cycle + len(pending).
+func (s *System) flush(cycle int64) {
+	b := &s.pending[cycle&int64(len(s.pending)-1)]
+	s.trace.Events = append(s.trace.Events, *b...)
+	*b = (*b)[:0]
 }
 
 // GenerateTrace is the one-call convenience used by experiments and the

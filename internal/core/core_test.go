@@ -63,17 +63,6 @@ func TestActiveLayersMinimal(t *testing.T) {
 	}
 }
 
-func TestPacketLayers(t *testing.T) {
-	flits := [][]uint32{
-		{1, 0, 0, 0},
-		{1, 2, 3, 4},
-	}
-	got := PacketLayers(flits)
-	if len(got) != 2 || got[0] != 1 || got[1] != 4 {
-		t.Errorf("PacketLayers = %v, want [1 4]", got)
-	}
-}
-
 func TestAllDesignsElaborate(t *testing.T) {
 	for _, a := range Archs {
 		d, err := NewDesign(a)

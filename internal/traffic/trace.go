@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -30,12 +29,6 @@ type Event struct {
 type Trace struct {
 	Name   string
 	Events []Event
-}
-
-// Sort orders events by cycle (stable, preserving generation order for
-// equal cycles).
-func (t *Trace) Sort() {
-	sort.SliceStable(t.Events, func(i, j int) bool { return t.Events[i].Cycle < t.Events[j].Cycle })
 }
 
 // Span returns the cycle range covered (last event cycle + 1), or 0.
@@ -173,7 +166,9 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// ReadTrace parses the format written by WriteTo.
+// ReadTrace parses the format written by WriteTo. Event cycles must not
+// decrease from one line to the next, since Replayer assumes time
+// order; an out-of-order line is an error.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -205,6 +200,10 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			vals[i] = v
 		}
 		e.Cycle = vals[0]
+		if n := len(t.Events); n > 0 && e.Cycle < t.Events[n-1].Cycle {
+			return nil, fmt.Errorf("traffic: trace line %d: cycle %d before the previous event's cycle %d",
+				line, e.Cycle, t.Events[n-1].Cycle)
+		}
 		e.Src = topology.NodeID(vals[1])
 		e.Dst = topology.NodeID(vals[2])
 		e.Size = int(vals[3])

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -250,16 +251,6 @@ func TestTraceStats(t *testing.T) {
 	}
 }
 
-func TestTraceSort(t *testing.T) {
-	tr := &Trace{Events: []Event{{Cycle: 5}, {Cycle: 1}, {Cycle: 3}}}
-	tr.Sort()
-	for i := 1; i < len(tr.Events); i++ {
-		if tr.Events[i].Cycle < tr.Events[i-1].Cycle {
-			t.Fatalf("not sorted: %v", tr.Events)
-		}
-	}
-}
-
 func TestTraceRoundTrip(t *testing.T) {
 	tr := makeTrace()
 	var buf bytes.Buffer
@@ -304,6 +295,20 @@ func TestReadTraceErrors(t *testing.T) {
 		if _, err := ReadTrace(bytes.NewBufferString(s)); err == nil {
 			t.Errorf("ReadTrace(%q) should fail", s)
 		}
+	}
+}
+
+func TestReadTraceRejectsOutOfOrder(t *testing.T) {
+	// Equal cycles are fine; a step back in time names its line
+	// (comments and blank lines count).
+	in := "# name demo\n5 0 1 1 0 -\n5 1 2 1 0 -\n\n7 2 3 1 0 -\n6 3 4 1 0 -\n"
+	_, err := ReadTrace(strings.NewReader(in))
+	if err == nil || !strings.Contains(err.Error(), "line 6") {
+		t.Fatalf("ReadTrace out-of-order: err = %v, want an error naming line 6", err)
+	}
+	tr, err := ReadTrace(strings.NewReader(in[:strings.LastIndex(in, "6 3 4")]))
+	if err != nil || len(tr.Events) != 3 {
+		t.Fatalf("ordered prefix: %d events, err %v", len(tr.Events), err)
 	}
 }
 
